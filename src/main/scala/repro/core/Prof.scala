@@ -79,9 +79,6 @@ final class Prof(val hw: HwProfile) {
     */
   def loop(n: Int): Unit = instr += 2L * n
 
-  /** `n` data-parallel ops over 32-bit lanes; costs ceil(n/simdLanes) instr. */
-  def simdOps(n: Int): Unit = instr += (n + hw.simdLanes - 1) / hw.simdLanes
-
   /** A data load of the line containing `addr`. */
   def load(addr: Long): Unit = {
     instr += 1; loads += 1

@@ -77,6 +77,18 @@ final class SharedAgg(val keySlots: Int, val valSlots: Int, valOps: Array[AggOp]
     out
   }
 
+  /** Phase 2 as the tail of worker `ctx.workerId`'s last pipeline: wait for
+    * every worker's phase 1, merge this worker's partition, and add one
+    * decoded `row(table, entry)` per final group to `out`.
+    */
+  def finish(ctx: Morsel.Ctx, p: Prof, out: java.util.Queue[Array[Any]])
+            (row: (AggHashTable, Int) => Array[Any]): Unit = {
+    ctx.barrier()
+    val fin = mergePartition(ctx.workerId, p)
+    var e = 0
+    while (e < fin.size) { out.add(row(fin, e)); e += 1 }
+  }
+
   /** All final tables (after every worker completed phase 2). */
   def results: Seq[AggHashTable] = finals.toSeq.filter(_ != null)
 }

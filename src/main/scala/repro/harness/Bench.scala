@@ -3,6 +3,15 @@ package repro.harness
 /** Wall-clock measurement helpers for the benchmark tables. */
 object Bench {
 
+  /** Cores the harness may use: `SPARK_GRAFT_CPUS` when set, else the
+    * JVM's processor count.
+    */
+  val hostCores: Int = sys.env.get("SPARK_GRAFT_CPUS").flatMap(_.trim.toIntOption).filter(_ > 0)
+    .getOrElse(Runtime.getRuntime.availableProcessors)
+
+  /** Worker counts of the scaling tables: 1, half the cores, all cores. */
+  val threadLadder: Seq[Int] = Seq(1, hostCores / 2, hostCores).filter(_ >= 1).distinct
+
   /** Median wall time in ms over `iters` runs after `warmup` JIT runs.
     * Warmup doubles as the "compilation excluded" methodology of the paper
     * (§3: code generation/compile time is not measured): HotSpot has

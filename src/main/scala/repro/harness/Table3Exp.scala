@@ -5,14 +5,15 @@ import repro.queries.{Engines, TpchSchema}
 
 /** Table 3 — "Multi-Threaded Execution": morsel-driven scaling of both
   * engines. The paper runs SF=100 with 1/10/20 threads on 10 cores + SMT;
-  * here SF defaults to 0.2 with 1/8/16 threads on the 16-core container.
+  * here SF defaults to 0.2 with [[Bench.threadLadder]] threads (1, half the
+  * host's cores, all of them).
   * Reports runtime, speedup over 1 thread, and the TW-vs-Typer ratio
   * (paper's "Ratio" column = Typer ms / TW ms).
   */
 object Table3Exp {
 
-  def run(spark: SparkSession, sf: Double = 0.2,
-          threadCounts: Seq[Int] = Seq(1, 8, 16)): String = {
+  def run(spark: SparkSession, sf: Double = 0.2): String = {
+    val threadCounts = Bench.threadLadder
     val d = TpchSchema.load(spark, sf)
     val tw = Engines.tw()
     val base = collection.mutable.Map.empty[(String, String), Double]

@@ -7,16 +7,15 @@ import repro.queries.{Engines, TpchSchema}
 /** Table 5 — "SSD Results": out-of-memory execution. The paper streams
   * tables from a 1.4 GB/s SSD RAID (vs 55 GB/s DRAM) with 20 threads at
   * SF=100. Here every base-table morsel is charged against a shared
-  * fixed-bandwidth [[Throttle]] before processing (DESIGN.md substitution);
-  * the bandwidth is scaled to our lite data so that scan time : compute time
-  * lands in the paper's regime. The real on-disk columnar format is
-  * exercised separately by `repro.storage` tests and the verification row at
-  * the bottom of this table.
+  * fixed-bandwidth [[Throttle]] before processing (DESIGN.md substitution),
+  * with one worker per host core ([[Bench.hostCores]]); the bandwidth is
+  * scaled to our lite data so that scan time : compute time lands in the
+  * paper's regime.
   */
 object Table5Exp {
 
-  def run(spark: SparkSession, sf: Double = 0.2, threads: Int = 16,
-          ssdBytesPerSec: Double = 3e9): String = {
+  def run(spark: SparkSession, sf: Double = 0.2, ssdBytesPerSec: Double = 3e9): String = {
+    val threads = Bench.hostCores
     val d = TpchSchema.load(spark, sf)
     val tw = Engines.tw()
     val rows = Engines.queryNames.map { q =>

@@ -25,6 +25,14 @@ final case class TpchData(
   def df(name: String): DataFrame = dfs(name)
   def tablesFor(names: String*): Seq[(String, DataFrame)] = names.map(n => n -> dfs(n))
 
+  /** Spark SQL `text` over these tables. Registers them as the session's
+    * temp views first: other datasets (SSB-lite) use some of the same names.
+    */
+  def sql(spark: SparkSession, text: String): DataFrame = {
+    dfs.foreach { case (n, df) => df.createOrReplaceTempView(n) }
+    spark.sql(text)
+  }
+
   /** Dictionary code of string `v` in column `col` of `t`, or -1 if absent
     * from the data (predicates must then select nothing).
     */
@@ -102,9 +110,6 @@ object TpchSchema {
       "lineitem" -> lineitemDF, "orders" -> ordersDF, "customer" -> customerDF,
       "supplier" -> supplierDF, "nation" -> nationDF, "partsupp" -> partsuppDF,
       "part" -> partDF)
-    // Register temp views so the identical SQL text runs on Spark SQL.
-    dfs.foreach { case (n, d) => d.createOrReplaceTempView(n) }
-
     TpchData(
       sf = sf,
       lineitem = Columnar.fromDF(lineitemDF, "lineitem",

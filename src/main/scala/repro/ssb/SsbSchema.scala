@@ -16,6 +16,14 @@ final case class SsbDataSet(
 
   def tablesFor(names: String*): Seq[(String, DataFrame)] = names.map(n => n -> dfs(n))
 
+  /** Spark SQL `text` over these tables. Registers them as the session's
+    * temp views first: TPC-H-lite uses some of the same names.
+    */
+  def sql(spark: SparkSession, text: String): DataFrame = {
+    dfs.foreach { case (n, df) => df.createOrReplaceTempView(n) }
+    spark.sql(text)
+  }
+
   def code(t: ColTable, col: String, v: String): Long = {
     val i = t(col).dict.indexOf(v)
     i.toLong
@@ -44,7 +52,6 @@ object SsbSchema {
     val cu = SsbData.customer(spark, sf).persist()
     val dfs = Map("lineorder" -> lo, "date" -> dd, "part" -> pt,
                   "supplier" -> su, "customer" -> cu)
-    dfs.foreach { case (n, d) => d.createOrReplaceTempView(n) }
 
     SsbDataSet(
       sf = sf,

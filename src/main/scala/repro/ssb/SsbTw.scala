@@ -1,12 +1,8 @@
 package repro.ssb
 
-import java.util.concurrent.ConcurrentLinkedQueue
-import java.util.concurrent.atomic.{AtomicLong, LongAdder}
 import repro.core._
-import repro.queries.{OutCol, QueryOut}
-import repro.queries.QueryOut.L
+import repro.queries.QueryOut
 import repro.tw._
-import scala.jdk.CollectionConverters._
 
 /** Tectorwise (vectorized) implementations of SSB Q1.1/Q2.1/Q3.1/Q4.1:
   * primitive-based dimension builds, then probe cascades over lineorder with
@@ -59,13 +55,7 @@ object SsbTw {
   }
 
   def q11(d: SsbDataSet, threads: Int, p: Prof, vecSize: Int = 1024): QueryOut = {
-    val lo = d.lineorder; val dd = d.date
-    val loDate = lo("lo_orderdate"); val loDisc = lo("lo_discount")
-    val loQty = lo("lo_quantity"); val loEp = lo("lo_extendedprice_c")
-    val htD = new HashTable(1, dd.numRows)
-    val dispD = Morsel.scanDispenser(dd, 2)
-    val dispL = Morsel.scanDispenser(lo, 4)
-    val total = new LongAdder; val matched = new AtomicLong(0)
+    val pl = new Q11Plan(d); import pl._
 
     Morsel.run(threads) { ctx =>
       buildDimVec(htD, dispD, vecSize, dd("d_datekey"), Array.empty, dd("d_year"), 1993, 1993, p)
@@ -105,25 +95,11 @@ object SsbTw {
       total.add(sum); matched.addAndGet(hits)
       ()
     }
-    QueryOut(Vector(OutCol("revenue")),
-      Vector(Array[Any](if (matched.get == 0) null else L(total.sum))))
+    result
   }
 
   def q21(d: SsbDataSet, threads: Int, p: Prof, vecSize: Int = 1024): QueryOut = {
-    val lo = d.lineorder; val dd = d.date; val pt = d.part; val su = d.supplier
-    val loDate = lo("lo_orderdate"); val loPart = lo("lo_partkey")
-    val loSupp = lo("lo_suppkey"); val loRev = lo("lo_revenue_c")
-    val catCode = d.code(pt, "p_category", "MFGR#12")
-    val regCode = d.code(su, "s_region", "AMERICA")
-    val htD = new HashTable(2, dd.numRows)
-    val htP = new HashTable(2, pt.numRows, pt.numRows / 16)
-    val htS = new HashTable(1, su.numRows, su.numRows / 4)
-    val dispD = Morsel.scanDispenser(dd, 2)
-    val dispP = Morsel.scanDispenser(pt, 3)
-    val dispS = Morsel.scanDispenser(su, 3)
-    val dispL = Morsel.scanDispenser(lo, 4)
-    val shared = new SharedAgg(2, 1, Array(AggOp.Sum), threads, 1024)
-    val out = new ConcurrentLinkedQueue[Array[Any]]()
+    val pl = new Q21Plan(d, threads); import pl._
 
     Morsel.run(threads) { ctx =>
       buildDimVec(htD, dispD, vecSize, dd("d_datekey"), Array(dd("d_year")), null, 0, 0, p)
@@ -177,34 +153,13 @@ object SsbTw {
         }
         m = dispL.next()
       }
-      ctx.barrier()
-      val fin = shared.mergePartition(ctx.workerId, p)
-      var e = 0
-      while (e < fin.size) {
-        out.add(Array[Any](L(fin.key(e, 0)), pt("p_brand1").dict(fin.key(e, 1).toInt),
-                           L(fin.value(e, 0))))
-        e += 1
-      }
+      finish(ctx, p)
     }
-    QueryOut(Vector(OutCol("d_year"), OutCol("p_brand1", isString = true), OutCol("revenue")),
-             out.asScala.toVector)
+    result
   }
 
   def q31(d: SsbDataSet, threads: Int, p: Prof, vecSize: Int = 1024): QueryOut = {
-    val lo = d.lineorder; val dd = d.date; val su = d.supplier; val cu = d.customer
-    val loDate = lo("lo_orderdate"); val loSupp = lo("lo_suppkey")
-    val loCust = lo("lo_custkey"); val loRev = lo("lo_revenue_c")
-    val sAsia = d.code(su, "s_region", "ASIA")
-    val cAsia = d.code(cu, "c_region", "ASIA")
-    val htD = new HashTable(2, dd.numRows)
-    val htS = new HashTable(2, su.numRows, su.numRows / 4)
-    val htC = new HashTable(2, cu.numRows, cu.numRows / 4)
-    val dispD = Morsel.scanDispenser(dd, 2)
-    val dispS = Morsel.scanDispenser(su, 3)
-    val dispC = Morsel.scanDispenser(cu, 3)
-    val dispL = Morsel.scanDispenser(lo, 4)
-    val shared = new SharedAgg(3, 1, Array(AggOp.Sum), threads, 1024)
-    val out = new ConcurrentLinkedQueue[Array[Any]]()
+    val pl = new Q31Plan(d, threads); import pl._
 
     Morsel.run(threads) { ctx =>
       buildDimVec(htD, dispD, vecSize, dd("d_datekey"), Array(dd("d_year")), dd("d_year"), 1992, 1997, p)
@@ -261,41 +216,13 @@ object SsbTw {
         }
         m = dispL.next()
       }
-      ctx.barrier()
-      val fin = shared.mergePartition(ctx.workerId, p)
-      var e = 0
-      while (e < fin.size) {
-        out.add(Array[Any](cu("c_nation").dict(fin.key(e, 0).toInt),
-                           su("s_nation").dict(fin.key(e, 1).toInt),
-                           L(fin.key(e, 2)), L(fin.value(e, 0))))
-        e += 1
-      }
+      finish(ctx, p)
     }
-    QueryOut(Vector(OutCol("c_nation", isString = true), OutCol("s_nation", isString = true),
-                    OutCol("d_year"), OutCol("revenue")),
-             out.asScala.toVector)
+    result
   }
 
   def q41(d: SsbDataSet, threads: Int, p: Prof, vecSize: Int = 1024): QueryOut = {
-    val lo = d.lineorder; val dd = d.date; val pt = d.part
-    val su = d.supplier; val cu = d.customer
-    val loDate = lo("lo_orderdate"); val loPart = lo("lo_partkey")
-    val loSupp = lo("lo_suppkey"); val loCust = lo("lo_custkey")
-    val loRev = lo("lo_revenue_c"); val loCost = lo("lo_supplycost_c")
-    val m1c = d.code(pt, "p_mfgr", "MFGR#1"); val m2c = d.code(pt, "p_mfgr", "MFGR#2")
-    val sAm = d.code(su, "s_region", "AMERICA")
-    val cAm = d.code(cu, "c_region", "AMERICA")
-    val htD = new HashTable(2, dd.numRows)
-    val htP = new HashTable(1, pt.numRows, pt.numRows / 2)
-    val htS = new HashTable(1, su.numRows, su.numRows / 4)
-    val htC = new HashTable(2, cu.numRows, cu.numRows / 4)
-    val dispD = Morsel.scanDispenser(dd, 2)
-    val dispP = Morsel.scanDispenser(pt, 3)
-    val dispS = Morsel.scanDispenser(su, 3)
-    val dispC = Morsel.scanDispenser(cu, 3)
-    val dispL = Morsel.scanDispenser(lo, 4)
-    val shared = new SharedAgg(2, 1, Array(AggOp.Sum), threads, 1024)
-    val out = new ConcurrentLinkedQueue[Array[Any]]()
+    val pl = new Q41Plan(d, threads); import pl._
 
     Morsel.run(threads) { ctx =>
       buildDimVec(htD, dispD, vecSize, dd("d_datekey"), Array(dd("d_year")), null, 0, 0, p)
@@ -308,7 +235,7 @@ object SsbTw {
           var base = m.startI
           while (base < m.endI) {
             val n = math.min(vecSize, m.endI - base)
-            val k = Prim.selEq2C(mf, base, n, m1c, m2c, sel, p)
+            val k = Prim.selEq2C(mf, base, n, mfgr1, mfgr2, sel, p)
             if (k > 0) {
               Prim.gather(key, base, sel, kV, p)
               Prim.hashMurmur(kV, k, hV, p)
@@ -382,17 +309,9 @@ object SsbTw {
         }
         m = dispL.next()
       }
-      ctx.barrier()
-      val fin = shared.mergePartition(ctx.workerId, p)
-      var e = 0
-      while (e < fin.size) {
-        out.add(Array[Any](L(fin.key(e, 0)), cu("c_nation").dict(fin.key(e, 1).toInt),
-                           L(fin.value(e, 0))))
-        e += 1
-      }
+      finish(ctx, p)
     }
-    QueryOut(Vector(OutCol("d_year"), OutCol("c_nation", isString = true), OutCol("profit")),
-             out.asScala.toVector)
+    result
   }
 
   def all(vecSize: Int = 1024): Map[String, (SsbDataSet, Int, Prof) => QueryOut] = Map(

@@ -1,12 +1,8 @@
 package repro.ssb
 
-import java.util.concurrent.ConcurrentLinkedQueue
-import java.util.concurrent.atomic.{AtomicLong, LongAdder}
 import repro.core._
-import repro.queries.{OutCol, QueryOut}
-import repro.queries.QueryOut.L
+import repro.queries.QueryOut
 import repro.typer.TyperOps
-import scala.jdk.CollectionConverters._
 
 /** Typer (fused data-centric) implementations of SSB Q1.1/Q2.1/Q3.1/Q4.1
   * (§4.4): filtered dimension builds, then one fused probe loop over
@@ -59,13 +55,7 @@ object SsbTyper {
   }
 
   def q11(d: SsbDataSet, threads: Int, p: Prof): QueryOut = {
-    val lo = d.lineorder; val dd = d.date
-    val loDate = lo("lo_orderdate"); val loDisc = lo("lo_discount")
-    val loQty = lo("lo_quantity"); val loEp = lo("lo_extendedprice_c")
-    val htD = new HashTable(1, dd.numRows)
-    val dispD = Morsel.scanDispenser(dd, 2)
-    val dispL = Morsel.scanDispenser(lo, 4)
-    val total = new LongAdder; val matched = new AtomicLong(0)
+    val pl = new Q11Plan(d); import pl._
 
     Morsel.run(threads) { ctx =>
       buildDim(htD, dispD, dd("d_datekey"), Array.empty, dd("d_year"), 1993, 1993, sYear, p)
@@ -108,25 +98,11 @@ object SsbTyper {
       total.add(sum); matched.addAndGet(hits)
       ()
     }
-    QueryOut(Vector(OutCol("revenue")),
-      Vector(Array[Any](if (matched.get == 0) null else L(total.sum))))
+    result
   }
 
   def q21(d: SsbDataSet, threads: Int, p: Prof): QueryOut = {
-    val lo = d.lineorder; val dd = d.date; val pt = d.part; val su = d.supplier
-    val loDate = lo("lo_orderdate"); val loPart = lo("lo_partkey")
-    val loSupp = lo("lo_suppkey"); val loRev = lo("lo_revenue_c")
-    val catCode = d.code(pt, "p_category", "MFGR#12")
-    val regCode = d.code(su, "s_region", "AMERICA")
-    val htD = new HashTable(2, dd.numRows)   // datekey → year
-    val htP = new HashTable(2, pt.numRows, pt.numRows / 16)   // partkey → brand1
-    val htS = new HashTable(1, su.numRows, su.numRows / 4)
-    val dispD = Morsel.scanDispenser(dd, 2)
-    val dispP = Morsel.scanDispenser(pt, 3)
-    val dispS = Morsel.scanDispenser(su, 3)
-    val dispL = Morsel.scanDispenser(lo, 4)
-    val shared = new SharedAgg(2, 1, Array(AggOp.Sum), threads, 1024)
-    val out = new ConcurrentLinkedQueue[Array[Any]]()
+    val pl = new Q21Plan(d, threads); import pl._
 
     Morsel.run(threads) { ctx =>
       buildDim(htD, dispD, dd("d_datekey"), Array(dd("d_year")), null, 0, 0, 0, p)
@@ -170,39 +146,18 @@ object SsbTyper {
         m = dispL.next()
       }
       if (p ne null) { p.loop(lo.numRows); p.exitLoop() }
-      ctx.barrier()
-      val fin = shared.mergePartition(ctx.workerId, p)
-      var e = 0
-      while (e < fin.size) {
-        out.add(Array[Any](L(fin.key(e, 0)), pt("p_brand1").dict(fin.key(e, 1).toInt),
-                           L(fin.value(e, 0))))
-        e += 1
-      }
+      finish(ctx, p)
     }
-    QueryOut(Vector(OutCol("d_year"), OutCol("p_brand1", isString = true), OutCol("revenue")),
-             out.asScala.toVector)
+    result
   }
 
   def q31(d: SsbDataSet, threads: Int, p: Prof): QueryOut = {
-    val lo = d.lineorder; val dd = d.date; val su = d.supplier; val cu = d.customer
-    val loDate = lo("lo_orderdate"); val loSupp = lo("lo_suppkey")
-    val loCust = lo("lo_custkey"); val loRev = lo("lo_revenue_c")
-    val sReg2 = d.code(su, "s_region", "ASIA")
-    val cReg2 = d.code(cu, "c_region", "ASIA")
-    val htD = new HashTable(2, dd.numRows)   // datekey → year (filtered 92..97)
-    val htS = new HashTable(2, su.numRows, su.numRows / 4)   // suppkey → nation
-    val htC = new HashTable(2, cu.numRows, cu.numRows / 4)   // custkey → nation
-    val dispD = Morsel.scanDispenser(dd, 2)
-    val dispS = Morsel.scanDispenser(su, 3)
-    val dispC = Morsel.scanDispenser(cu, 3)
-    val dispL = Morsel.scanDispenser(lo, 4)
-    val shared = new SharedAgg(3, 1, Array(AggOp.Sum), threads, 1024)
-    val out = new ConcurrentLinkedQueue[Array[Any]]()
+    val pl = new Q31Plan(d, threads); import pl._
 
     Morsel.run(threads) { ctx =>
       buildDim(htD, dispD, dd("d_datekey"), Array(dd("d_year")), dd("d_year"), 1992, 1997, sYear, p)
-      buildDim(htS, dispS, su("s_suppkey"), Array(su("s_nation")), su("s_region"), sReg2, sReg2, sReg, p)
-      buildDim(htC, dispC, cu("c_custkey"), Array(cu("c_nation")), cu("c_region"), cReg2, cReg2, sReg, p)
+      buildDim(htS, dispS, su("s_suppkey"), Array(su("s_nation")), su("s_region"), sAsia, sAsia, sReg, p)
+      buildDim(htC, dispC, cu("c_custkey"), Array(cu("c_nation")), cu("c_region"), cAsia, cAsia, sReg, p)
       ctx.barrier()
       val agg = shared.local(ctx.workerId)
       val keyRow = new Array[Long](3)
@@ -241,41 +196,13 @@ object SsbTyper {
         m = dispL.next()
       }
       if (p ne null) { p.loop(lo.numRows); p.exitLoop() }
-      ctx.barrier()
-      val fin = shared.mergePartition(ctx.workerId, p)
-      var e = 0
-      while (e < fin.size) {
-        out.add(Array[Any](cu("c_nation").dict(fin.key(e, 0).toInt),
-                           su("s_nation").dict(fin.key(e, 1).toInt),
-                           L(fin.key(e, 2)), L(fin.value(e, 0))))
-        e += 1
-      }
+      finish(ctx, p)
     }
-    QueryOut(Vector(OutCol("c_nation", isString = true), OutCol("s_nation", isString = true),
-                    OutCol("d_year"), OutCol("revenue")),
-             out.asScala.toVector)
+    result
   }
 
   def q41(d: SsbDataSet, threads: Int, p: Prof): QueryOut = {
-    val lo = d.lineorder; val dd = d.date; val pt = d.part
-    val su = d.supplier; val cu = d.customer
-    val loDate = lo("lo_orderdate"); val loPart = lo("lo_partkey")
-    val loSupp = lo("lo_suppkey"); val loCust = lo("lo_custkey")
-    val loRev = lo("lo_revenue_c"); val loCost = lo("lo_supplycost_c")
-    val m1 = d.code(pt, "p_mfgr", "MFGR#1"); val m2 = d.code(pt, "p_mfgr", "MFGR#2")
-    val sAm = d.code(su, "s_region", "AMERICA")
-    val cAm = d.code(cu, "c_region", "AMERICA")
-    val htD = new HashTable(2, dd.numRows)
-    val htP = new HashTable(1, pt.numRows, pt.numRows / 2)
-    val htS = new HashTable(1, su.numRows, su.numRows / 4)
-    val htC = new HashTable(2, cu.numRows, cu.numRows / 4)
-    val dispD = Morsel.scanDispenser(dd, 2)
-    val dispP = Morsel.scanDispenser(pt, 3)
-    val dispS = Morsel.scanDispenser(su, 3)
-    val dispC = Morsel.scanDispenser(cu, 3)
-    val dispL = Morsel.scanDispenser(lo, 4)
-    val shared = new SharedAgg(2, 1, Array(AggOp.Sum), threads, 1024)
-    val out = new ConcurrentLinkedQueue[Array[Any]]()
+    val pl = new Q41Plan(d, threads); import pl._
 
     Morsel.run(threads) { ctx =>
       buildDim(htD, dispD, dd("d_datekey"), Array(dd("d_year")), null, 0, 0, 0, p)
@@ -289,7 +216,7 @@ object SsbTyper {
           while (i < m.endI) {
             if (p ne null) p.load(mf.addr + 8L * i)
             val v = mf.data(i)
-            val keep = v == m1 || v == m2
+            val keep = v == mfgr1 || v == mfgr2
             if (p ne null) { p.ops(1); p.branch(sMfgr, keep) }
             if (keep) {
               val k = key.data(i)
@@ -348,17 +275,9 @@ object SsbTyper {
         m = dispL.next()
       }
       if (p ne null) { p.loop(lo.numRows); p.exitLoop() }
-      ctx.barrier()
-      val fin = shared.mergePartition(ctx.workerId, p)
-      var e = 0
-      while (e < fin.size) {
-        out.add(Array[Any](L(fin.key(e, 0)), cu("c_nation").dict(fin.key(e, 1).toInt),
-                           L(fin.value(e, 0))))
-        e += 1
-      }
+      finish(ctx, p)
     }
-    QueryOut(Vector(OutCol("d_year"), OutCol("c_nation", isString = true), OutCol("profit")),
-             out.asScala.toVector)
+    result
   }
 
   val all: Map[String, (SsbDataSet, Int, Prof) => QueryOut] = Map(

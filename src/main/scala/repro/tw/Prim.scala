@@ -192,44 +192,6 @@ object Prim {
     out.n = k; k
   }
 
-  /** sel ← { pos ∈ in | col[base+pos] > c }. */
-  def selGtCSel(col: LongCol, base: Int, in: Sel, c: Long, out: Sel, p: Prof): Int = {
-    var k = 0; var i = 0
-    if (p ne null) {
-      p.enterLoop(6)
-      while (i < in.n) {
-        val pos = in.a(i)
-        p.load(in.addr + 4L * i); p.load(col.addr + 8L * (base + pos))
-        p.store(out.addr + 4L * k); p.ops(2)
-        out.a(k) = pos
-        if (col.data(base + pos) > c) k += 1
-        i += 1
-      }
-      p.loop(in.n)
-      p.exitLoop()
-    } else while (i < in.n) { val pos = in.a(i); out.a(k) = pos; if (col.data(base + pos) > c) k += 1; i += 1 }
-    out.n = k; k
-  }
-
-  /** sel ← { pos ∈ in | col[base+pos] = c }. */
-  def selEqCSel(col: LongCol, base: Int, in: Sel, c: Long, out: Sel, p: Prof): Int = {
-    var k = 0; var i = 0
-    if (p ne null) {
-      p.enterLoop(6)
-      while (i < in.n) {
-        val pos = in.a(i)
-        p.load(in.addr + 4L * i); p.load(col.addr + 8L * (base + pos))
-        p.store(out.addr + 4L * k); p.ops(2)
-        out.a(k) = pos
-        if (col.data(base + pos) == c) k += 1
-        i += 1
-      }
-      p.loop(in.n)
-      p.exitLoop()
-    } else while (i < in.n) { val pos = in.a(i); out.a(k) = pos; if (col.data(base + pos) == c) k += 1; i += 1 }
-    out.n = k; k
-  }
-
   // ---- gather / map ------------------------------------------------------
 
   /** out[i] ← col[base + sel[i]] — materialize a column through a selection. */

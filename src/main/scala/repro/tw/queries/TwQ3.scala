@@ -1,11 +1,8 @@
 package repro.tw.queries
 
-import java.util.concurrent.ConcurrentLinkedQueue
 import repro.core._
-import repro.queries.{QueryOut, TpchConsts, TpchData}
-import repro.queries.QueryOut.L
+import repro.queries.{Q3Plan, QueryOut, TpchData}
 import repro.tw._
-import scala.jdk.CollectionConverters._
 
 /** Tectorwise TPC-H Q3: vectorized build of HT(custkey) and
   * HT(orderkey → date, prio), then the Fig. 2b probe loop over lineitem and
@@ -14,22 +11,7 @@ import scala.jdk.CollectionConverters._
 object TwQ3 {
 
   def run(d: TpchData, threads: Int, p: Prof, vecSize: Int = 1024): QueryOut = {
-    val cu = d.customer; val or = d.orders; val li = d.lineitem
-    val cKey = cu("c_custkey"); val cSeg = cu("c_mktsegment")
-    val oKey = or("o_orderkey"); val oCust = or("o_custkey")
-    val oDate = or("o_orderdate"); val oPrio = or("o_shippriority")
-    val lKey = li("l_orderkey"); val lDate = li("l_shipdate")
-    val lEp = li("l_extendedprice_c"); val lDisc = li("l_discount_c")
-    val segCode = d.code(cu, "c_mktsegment", TpchConsts.q3Segment)
-    val cutoff = TpchConsts.q3Date
-
-    val htC = new HashTable(1, cu.numRows, cu.numRows / 4)
-    val htO = new HashTable(3, or.numRows, or.numRows / 2)
-    val shared = new SharedAgg(3, 1, Array(AggOp.Sum), threads, 1024)
-    val dispC = Morsel.scanDispenser(cu, 2)
-    val dispO = Morsel.scanDispenser(or, 4)
-    val dispL = Morsel.scanDispenser(li, 4)
-    val out = new ConcurrentLinkedQueue[Array[Any]]()
+    val pl = new Q3Plan(d, threads); import pl._
 
     Morsel.run(threads) { ctx =>
       val sel = new Sel(vecSize)
@@ -124,16 +106,8 @@ object TwQ3 {
         }
         m = dispL.next()
       }
-      ctx.barrier()
-      val fin = shared.mergePartition(ctx.workerId, p)
-      var e = 0
-      while (e < fin.size) {
-        out.add(Array[Any](
-          L(fin.key(e, 0)), oDate.decodeValue(fin.key(e, 1)),
-          L(fin.key(e, 2)), L(fin.value(e, 0))))
-        e += 1
-      }
+      finish(ctx, p)
     }
-    QueryOut(repro.typer.TyperQ3.schema, out.asScala.toVector)
+    result
   }
 }

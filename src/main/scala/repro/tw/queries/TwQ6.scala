@@ -1,9 +1,7 @@
 package repro.tw.queries
 
-import java.util.concurrent.atomic.{AtomicLong, LongAdder}
 import repro.core._
-import repro.queries.{OutCol, QueryOut, TpchConsts, TpchData}
-import repro.queries.QueryOut.L
+import repro.queries.{Q6Plan, QueryOut, TpchData}
 import repro.tw._
 
 /** Tectorwise TPC-H Q6: a cascade of five selection primitives — the first
@@ -14,14 +12,7 @@ import repro.tw._
 object TwQ6 {
 
   def run(d: TpchData, threads: Int, p: Prof, vecSize: Int = 1024): QueryOut = {
-    val li = d.lineitem
-    val sd = li("l_shipdate"); val disc = li("l_discount_c")
-    val qty = li("l_quantity_c"); val ep = li("l_extendedprice_c")
-    import TpchConsts._
-
-    val total = new LongAdder
-    val matched = new AtomicLong(0)
-    val disp = Morsel.scanDispenser(li, 4)
+    val pl = new Q6Plan(d); import pl._
 
     Morsel.run(threads) { ctx =>
       val s1 = new Sel(vecSize); val s2 = new Sel(vecSize); val s3 = new Sel(vecSize)
@@ -34,11 +25,11 @@ object TwQ6 {
         var base = m.startI
         while (base < m.endI) {
           val n = math.min(vecSize, m.endI - base)
-          var k = Prim.selGeC(sd, base, n, q6DateLo, s1, p)
-          if (k > 0) k = Prim.selLtCSel(sd, base, s1, q6DateHi, s2, p)
-          if (k > 0) k = Prim.selGeCSel(disc, base, s2, q6DiscLo, s3, p)
-          if (k > 0) k = Prim.selLeCSel(disc, base, s3, q6DiscHi, s4, p)
-          if (k > 0) k = Prim.selLtCSel(qty, base, s4, q6QtyMax, s5, p)
+          var k = Prim.selGeC(sd, base, n, dateLo, s1, p)
+          if (k > 0) k = Prim.selLtCSel(sd, base, s1, dateHi, s2, p)
+          if (k > 0) k = Prim.selGeCSel(disc, base, s2, discLo, s3, p)
+          if (k > 0) k = Prim.selLeCSel(disc, base, s3, discHi, s4, p)
+          if (k > 0) k = Prim.selLtCSel(qty, base, s4, qtyMax, s5, p)
           if (k > 0) {
             Prim.gather(ep, base, s5, epV, p)
             Prim.gather(disc, base, s5, discV, p)
@@ -54,7 +45,6 @@ object TwQ6 {
       matched.addAndGet(hits)
       ()
     }
-    val row: Array[Any] = Array(if (matched.get == 0) null else L(total.sum))
-    QueryOut(Vector(OutCol("revenue")), Vector(row))
+    result
   }
 }

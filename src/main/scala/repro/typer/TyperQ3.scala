@@ -1,10 +1,7 @@
 package repro.typer
 
-import java.util.concurrent.ConcurrentLinkedQueue
 import repro.core._
-import repro.queries.{OutCol, QueryOut, TpchConsts, TpchData}
-import repro.queries.QueryOut.L
-import scala.jdk.CollectionConverters._
+import repro.queries.{Q3Plan, QueryOut, TpchData}
 
 /** Typer TPC-H Q3: three fused pipelines —
   *  1. scan customer, segment filter, build HT(custkey);
@@ -18,27 +15,8 @@ object TyperQ3 {
   private val sCHit = BranchSim.site(); private val sLDate = BranchSim.site()
   private val sOHit = BranchSim.site()
 
-  val schema: Vector[OutCol] = Vector(
-    OutCol("l_orderkey"), OutCol("o_orderdate", isString = true),
-    OutCol("o_shippriority"), OutCol("revenue"))
-
   def run(d: TpchData, threads: Int, p: Prof): QueryOut = {
-    val cu = d.customer; val or = d.orders; val li = d.lineitem
-    val cKey = cu("c_custkey"); val cSeg = cu("c_mktsegment")
-    val oKey = or("o_orderkey"); val oCust = or("o_custkey")
-    val oDate = or("o_orderdate"); val oPrio = or("o_shippriority")
-    val lKey = li("l_orderkey"); val lDate = li("l_shipdate")
-    val lEp = li("l_extendedprice_c"); val lDisc = li("l_discount_c")
-    val segCode = d.code(cu, "c_mktsegment", TpchConsts.q3Segment)
-    val cutoff = TpchConsts.q3Date
-
-    val htC = new HashTable(1, cu.numRows, cu.numRows / 4)            // custkey
-    val htO = new HashTable(3, or.numRows, or.numRows / 2)            // orderkey, date, prio
-    val shared = new SharedAgg(3, 1, Array(AggOp.Sum), threads, 1024)
-    val dispC = Morsel.scanDispenser(cu, 2)
-    val dispO = Morsel.scanDispenser(or, 4)
-    val dispL = Morsel.scanDispenser(li, 4)
-    val out = new ConcurrentLinkedQueue[Array[Any]]()
+    val pl = new Q3Plan(d, threads); import pl._
 
     Morsel.run(threads) { ctx =>
       // Pipeline 1: customer → HT_c
@@ -132,16 +110,8 @@ object TyperQ3 {
         m = dispL.next()
       }
       if (p ne null) { p.loop(li.numRows); p.exitLoop() }
-      ctx.barrier()
-      val fin = shared.mergePartition(ctx.workerId, p)
-      var e = 0
-      while (e < fin.size) {
-        out.add(Array[Any](
-          L(fin.key(e, 0)), oDate.decodeValue(fin.key(e, 1)),
-          L(fin.key(e, 2)), L(fin.value(e, 0))))
-        e += 1
-      }
+      finish(ctx, p)
     }
-    QueryOut(schema, out.asScala.toVector)
+    result
   }
 }

@@ -1,9 +1,7 @@
 package repro.typer
 
-import java.util.concurrent.atomic.{AtomicLong, LongAdder}
 import repro.core._
-import repro.queries.{OutCol, QueryOut, TpchConsts, TpchData}
-import repro.queries.QueryOut.L
+import repro.queries.{Q6Plan, QueryOut, TpchData}
 
 /** Typer TPC-H Q6: fused selective scan with *branch-free* predication —
   * the paper's Typer evaluates Q6's selection without branches (footnote 8:
@@ -13,17 +11,8 @@ import repro.queries.QueryOut.L
   */
 object TyperQ6 {
 
-  val schema: Vector[OutCol] = Vector(OutCol("revenue"))
-
   def run(d: TpchData, threads: Int, p: Prof): QueryOut = {
-    val li = d.lineitem
-    val sd = li("l_shipdate"); val disc = li("l_discount_c")
-    val qty = li("l_quantity_c"); val ep = li("l_extendedprice_c")
-    import TpchConsts._
-
-    val total = new LongAdder
-    val matched = new AtomicLong(0)
-    val disp = Morsel.scanDispenser(li, 4)
+    val pl = new Q6Plan(d); import pl._
 
     Morsel.run(threads) { ctx =>
       var sum = 0L
@@ -43,8 +32,8 @@ object TyperQ6 {
             p.ops(8) // five compares folded to a mask + mul + masked add
           }
           val mask =
-            (if (s >= q6DateLo && s < q6DateHi &&
-                 dc >= q6DiscLo && dc <= q6DiscHi && q < q6QtyMax) 1L else 0L)
+            (if (s >= dateLo && s < dateHi &&
+                 dc >= discLo && dc <= discHi && q < qtyMax) 1L else 0L)
           sum += mask * (e * dc)
           hits += mask
           i += 1
@@ -56,7 +45,6 @@ object TyperQ6 {
       matched.addAndGet(hits)
       ()
     }
-    val row: Array[Any] = Array(if (matched.get == 0) null else L(total.sum))
-    QueryOut(schema, Vector(row))
+    result
   }
 }

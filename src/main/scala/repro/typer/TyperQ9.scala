@@ -1,10 +1,7 @@
 package repro.typer
 
-import java.util.concurrent.ConcurrentLinkedQueue
 import repro.core._
-import repro.queries.{OutCol, QueryOut, TpchConsts, TpchData}
-import repro.queries.QueryOut.L
-import scala.jdk.CollectionConverters._
+import repro.queries.{Q9Plan, QueryOut, TpchData}
 
 /** Typer TPC-H Q9 (lite): five build pipelines then one big fused probe
   * pipeline over lineitem — part (color filter), supplier, partsupp
@@ -16,34 +13,8 @@ object TyperQ9 {
   private val sPHit = BranchSim.site(); private val sSHit = BranchSim.site()
   private val sPsHit = BranchSim.site(); private val sOHit = BranchSim.site()
 
-  val schema: Vector[OutCol] = Vector(
-    OutCol("nation", isString = true), OutCol("o_year"), OutCol("amount"))
-
   def run(d: TpchData, threads: Int, p: Prof): QueryOut = {
-    val pt = d.part; val su = d.supplier; val na = d.nation
-    val ps = d.partsupp; val or = d.orders; val li = d.lineitem
-    val pKey = pt("p_partkey"); val pColor = pt("p_color")
-    val sKey = su("s_suppkey"); val sNat = su("s_nationkey")
-    val nKey = na("n_nationkey"); val nName = na("n_name")
-    val psP = ps("ps_partkey"); val psS = ps("ps_suppkey"); val psC = ps("ps_supplycost_c")
-    val oKey = or("o_orderkey"); val oDate = or("o_orderdate")
-    val lOrd = li("l_orderkey"); val lPart = li("l_partkey"); val lSupp = li("l_suppkey")
-    val lQty = li("l_quantity_c"); val lEp = li("l_extendedprice_c"); val lDisc = li("l_discount_c")
-    val colorCode = d.code(pt, "p_color", TpchConsts.q9Color)
-
-    val htP = new HashTable(1, pt.numRows, pt.numRows / 8)
-    val htS = new HashTable(2, su.numRows)       // suppkey → nationkey
-    val htPs = new HashTable(3, ps.numRows)      // (partkey, suppkey) → cost
-    val htO = new HashTable(2, or.numRows)       // orderkey → year
-    val htN = new HashTable(2, na.numRows)       // nationkey → name code
-    val shared = new SharedAgg(2, 1, Array(AggOp.Sum), threads, 256)
-    val dispP = Morsel.scanDispenser(pt, 2)
-    val dispS = Morsel.scanDispenser(su, 2)
-    val dispPs = Morsel.scanDispenser(ps, 3)
-    val dispO = Morsel.scanDispenser(or, 2)
-    val dispN = Morsel.scanDispenser(na, 2)
-    val dispL = Morsel.scanDispenser(li, 6)
-    val out = new ConcurrentLinkedQueue[Array[Any]]()
+    val pl = new Q9Plan(d, threads); import pl._
 
     Morsel.run(threads) { ctx =>
       // part (filtered)
@@ -111,7 +82,7 @@ object TyperQ9 {
           if (p ne null) { p.load(oKey.addr + 8L * i); p.load(oDate.addr + 8L * i); p.ops(Hash.crcCost + 5) }
           val e = htO.reserve(p)
           htO.setSlot(e, 0, k, p)
-          htO.setSlot(e, 1, TyperOps.yearOf(oDate.data(i)).toLong, p)
+          htO.setSlot(e, 1, DateUtil.yearOf(oDate.data(i)).toLong, p)
           htO.publish(e, Hash.crc(k), p)
           i += 1
         }
@@ -189,15 +160,8 @@ object TyperQ9 {
         m = dispL.next()
       }
       if (p ne null) { p.loop(li.numRows); p.exitLoop() }
-      ctx.barrier()
-      val fin = shared.mergePartition(ctx.workerId, p)
-      var e = 0
-      while (e < fin.size) {
-        out.add(Array[Any](
-          nName.dict(fin.key(e, 0).toInt), L(fin.key(e, 1)), L(fin.value(e, 0))))
-        e += 1
-      }
+      finish(ctx, p)
     }
-    QueryOut(schema, out.asScala.toVector)
+    result
   }
 }

@@ -1,7 +1,7 @@
 package repro.volcano
 
 import repro.core.Prof
-import repro.queries.{OutCol, QueryOut, TpchConsts, TpchData}
+import repro.queries.{Q1Plan, Q6Plan, QueryOut, TpchConsts, TpchData}
 import repro.queries.QueryOut.L
 
 /** Volcano (tuple-at-a-time interpreted) implementations of Q1 and Q6 —
@@ -34,7 +34,7 @@ object VolcanoTpch {
         L(r(2)), L(r(3)), L(r(4)), L(r(5)), L(r(6)))
       r = plan.next(p)
     }
-    QueryOut(repro.typer.TyperQ1.schema, rows.result())
+    QueryOut(Q1Plan.schema, rows.result())
   }
 
   def q6(d: TpchData, p: Prof): QueryOut = {
@@ -59,6 +59,6 @@ object VolcanoTpch {
       if (r(1) > 0) revenue = L(r(0)) // count > 0 ⇒ non-NULL sum
       r = plan.next(p)
     }
-    QueryOut(Vector(OutCol("revenue")), Vector(Array[Any](revenue)))
+    QueryOut(Q6Plan.schema, Vector(Array[Any](revenue)))
   }
 }

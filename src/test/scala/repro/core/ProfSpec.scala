@@ -13,12 +13,6 @@ class ProfSpec extends AnyFunSuite {
     assert(p.instr == 7 && p.loads == 1 && p.stores == 1)
   }
 
-  test("simdOps divides by lane count (ceil)") {
-    val p = prof()
-    p.simdOps(33) // 33 lanes of 32-bit on a 32-lane machine → 2 instr
-    assert(p.instr == 2)
-  }
-
   test("enter/exit loop maintains a stack") {
     val p = prof()
     p.enterLoop(10)

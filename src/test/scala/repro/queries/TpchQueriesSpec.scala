@@ -2,6 +2,8 @@ package repro.queries
 
 import repro.{Oracle, SparkSpec}
 import repro.core.{HwProfile, Prof}
+import repro.queries.QueryRuns.{scanBytes, workerCounts}
+import repro.ssb.{SsbSchema, SsbSql}
 
 /** End-to-end correctness of the five TPC-H-lite queries: every engine is
   * checked against the DuckDB oracle, against Spark SQL, against the other
@@ -16,8 +18,7 @@ class TpchQueriesSpec extends SparkSpec {
     def oracleTables = d.tablesFor(TpchSql.tables(q): _*)
 
     test(s"$q: Spark SQL matches DuckDB oracle (validates shared SQL text)") {
-      val tables = oracleTables // forces the data load, which registers the temp views
-      Oracle.assertEquivalent(spark.sql(TpchSql.all(q)), TpchSql.all(q), tables: _*)
+      Oracle.assertEquivalent(d.sql(spark, TpchSql.all(q)), TpchSql.all(q), oracleTables: _*)
     }
 
     test(s"$q: Typer matches DuckDB oracle") {
@@ -33,8 +34,12 @@ class TpchQueriesSpec extends SparkSpec {
     }
 
     test(s"$q: 4-thread morsel-parallel run equals single-threaded (both engines)") {
-      assert(Engines.typer(q)(d, 4, null).canon == Engines.typer(q)(d, 1, null).canon)
-      assert(tw(q)(d, 4, null).canon == tw(q)(d, 1, null).canon)
+      val typerRef = Engines.typer(q)(d, 1, null).canon
+      val twRef = tw(q)(d, 1, null).canon
+      for (t <- workerCounts) {
+        assert(Engines.typer(q)(d, t, null).canon == typerRef, s"Typer, $t workers")
+        assert(tw(q)(d, t, null).canon == twRef, s"TW, $t workers")
+      }
     }
 
     test(s"$q: Tectorwise result is vector-size invariant (64, 4096)") {
@@ -57,6 +62,23 @@ class TpchQueriesSpec extends SparkSpec {
       val out = Engines.typer(q)(d, 1, null)
       assert(out.numRows > 0)
       if (q == "q6") assert(out.rows.head.head != null, "Q6 revenue should be non-NULL at this SF")
+    }
+  }
+
+  test("both engines charge the scan throttle the same bytes for every query") {
+    for (q <- Engines.queryNames) {
+      val typer = scanBytes(Engines.typer(q)(d, 2, null))
+      val vec = scanBytes(tw(q)(d, 2, null))
+      assert(typer > 0 && typer == vec, s"$q: Typer $typer B, TW $vec B")
+    }
+  }
+
+  test("TPC-H q3 and q9 SQL stay correct after SSB-lite takes the shared view names") {
+    val ssb = SsbSchema.load(spark, d.sf)
+    ssb.sql(spark, SsbSql.q21).collect() // SSB's customer, part and supplier views
+    for (q <- Seq("q3", "q9")) {
+      val rows = d.sql(spark, TpchSql.all(q)).collect().toVector.map(_.toSeq.toArray[Any])
+      assert(QueryOut(Vector.empty, rows).canon == Engines.typer(q)(d, 1, null).canon, q)
     }
   }
 

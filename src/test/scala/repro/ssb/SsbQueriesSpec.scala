@@ -2,6 +2,7 @@ package repro.ssb
 
 import repro.{Oracle, SparkSpec}
 import repro.core.{HwProfile, Prof}
+import repro.queries.QueryRuns.{scanBytes, workerCounts}
 
 /** End-to-end correctness of the four SSB-lite queries (§4.4) across both
   * engines, the DuckDB oracle, Spark SQL, threads, and the counter model.
@@ -14,8 +15,7 @@ class SsbQueriesSpec extends SparkSpec {
     def oracleTables = d.tablesFor(SsbSql.tables(q): _*)
 
     test(s"ssb $q: Spark SQL matches DuckDB oracle") {
-      val tables = oracleTables
-      Oracle.assertEquivalent(spark.sql(SsbSql.all(q)), SsbSql.all(q), tables: _*)
+      Oracle.assertEquivalent(d.sql(spark, SsbSql.all(q)), SsbSql.all(q), oracleTables: _*)
     }
 
     test(s"ssb $q: Typer matches DuckDB oracle") {
@@ -31,8 +31,12 @@ class SsbQueriesSpec extends SparkSpec {
     }
 
     test(s"ssb $q: 4-thread run equals single-threaded (both engines)") {
-      assert(SsbTyper.all(q)(d, 4, null).canon == SsbTyper.all(q)(d, 1, null).canon)
-      assert(tw(q)(d, 4, null).canon == tw(q)(d, 1, null).canon)
+      val typerRef = SsbTyper.all(q)(d, 1, null).canon
+      val twRef = tw(q)(d, 1, null).canon
+      for (t <- workerCounts) {
+        assert(SsbTyper.all(q)(d, t, null).canon == typerRef, s"Typer, $t workers")
+        assert(tw(q)(d, t, null).canon == twRef, s"TW, $t workers")
+      }
     }
 
     test(s"ssb $q: counter-model run leaves results unchanged") {
@@ -46,6 +50,14 @@ class SsbQueriesSpec extends SparkSpec {
 
     test(s"ssb $q: non-trivial result") {
       assert(SsbTyper.all(q)(d, 1, null).numRows > 0)
+    }
+  }
+
+  test("both engines charge the scan throttle the same bytes for every query") {
+    for (q <- SsbSql.all.keys.toSeq.sorted) {
+      val typer = scanBytes(SsbTyper.all(q)(d, 2, null))
+      val vec = scanBytes(tw(q)(d, 2, null))
+      assert(typer > 0 && typer == vec, s"ssb $q: Typer $typer B, TW $vec B")
     }
   }
 }
