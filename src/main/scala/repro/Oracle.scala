@@ -2,14 +2,16 @@ package repro
 
 import java.sql.DriverManager
 import org.apache.spark.sql.{DataFrame, Row}
+import org.duckdb.DuckDBConnection
 import scala.jdk.CollectionConverters._
 
 /** DuckDB correctness oracle.
   *
-  * ``assertEquivalent(sparkDf, sql, tables)`` runs ``sql`` on DuckDB
-  * (via JDBC, in-process) over ``tables`` and asserts the sorted rows
-  * match ``sparkDf``. This catches wrong results from a rewritten plan
-  * or a custom operator — "it ran" is not "it is correct".
+  * ``assertEquivalent(sparkDf, sql, tables)`` loads ``tables`` into an
+  * in-process DuckDB as all-VARCHAR columns (through its Appender), runs
+  * ``sql`` there via JDBC and asserts the sorted rows match ``sparkDf``.
+  * This catches wrong results from a rewritten plan or a custom operator —
+  * "it ran" is not "it is correct".
   *
   * Alias every output column identically on both sides (Spark names
   * ``count(*)`` as ``count(1)``, DuckDB as ``count_star()``). Project
@@ -35,7 +37,7 @@ object Oracle {
 
   def assertEquivalent(sparkDf: DataFrame, sql: String, tables: (String, DataFrame)*): Unit = {
     Class.forName("org.duckdb.DuckDBDriver")
-    val conn = DriverManager.getConnection("jdbc:duckdb:")
+    val conn = DriverManager.getConnection("jdbc:duckdb:").unwrap(classOf[DuckDBConnection])
     try {
       for ((name, df) <- tables) {
         val cols = df.columns
@@ -43,14 +45,13 @@ object Oracle {
           s"CREATE TABLE $name (${cols.map(c => s"$c VARCHAR").mkString(", ")})"
         )
         // Collect once; this is an oracle, not a bench — keep tables small.
-        val ps = conn.prepareStatement(
-          s"INSERT INTO $name VALUES (${cols.map(_ => "?").mkString(",")})"
-        )
-        df.collect().foreach { r =>
-          cols.indices.foreach(i => ps.setString(i + 1, Option(r.get(i)).map(_.toString).orNull))
-          ps.addBatch()
-        }
-        ps.executeBatch(); ps.close()
+        // The Appender loads rows in bulk (JDBC batch inserts take seconds).
+        val app = conn.createAppender(DuckDBConnection.DEFAULT_SCHEMA, name)
+        try df.collect().foreach { r =>
+          app.beginRow()
+          cols.indices.foreach(i => app.append(Option(r.get(i)).map(_.toString).orNull)) // null → NULL
+          app.endRow()
+        } finally app.close()
       }
       val rs   = conn.createStatement.executeQuery(sql)
       val meta = rs.getMetaData

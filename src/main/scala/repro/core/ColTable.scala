@@ -12,10 +12,8 @@ import org.apache.spark.sql.DataFrame
   */
 sealed trait Enc
 object Enc {
-  /** Integral value taken as-is (keys, counts, priorities). */
+  /** Integral value taken as-is (keys, counts, priorities, `*_c` cents). */
   case object Id extends Enc
-  /** Monetary / quantity value scaled by 100 to integer cents. */
-  case object Cents extends Enc
   /** Date stored as days since 1970-01-01. */
   case object Days extends Enc
   /** String dictionary-encoded to a dense code; dictionary kept for decode. */
@@ -36,7 +34,6 @@ final class LongCol(val data: Array[Long], val dict: Array[String], val enc: Enc
 
   def decodeValue(v: Long): Any = enc match {
     case Enc.Id    => v
-    case Enc.Cents => v // *_c columns are compared as integer cents everywhere
     case Enc.Days  => LocalDate.ofEpochDay(v).toString
     case Enc.Dict  => dict(v.toInt)
   }
@@ -94,10 +91,6 @@ object Columnar {
     case (null, _)                    => Long.MinValue
     case (x: java.lang.Long, Enc.Id)    => x.longValue
     case (x: java.lang.Integer, Enc.Id) => x.longValue
-    case (x: java.lang.Long, Enc.Cents)    => x.longValue * 100L
-    case (x: java.lang.Integer, Enc.Cents) => x.longValue * 100L
-    case (x: java.lang.Double, Enc.Cents)  => math.round(x * 100.0)
-    case (x: java.math.BigDecimal, Enc.Cents) => x.movePointRight(2).setScale(0, java.math.RoundingMode.HALF_UP).longValueExact()
     case (d: java.sql.Date, Enc.Days)   => d.toLocalDate.toEpochDay
     case (d: LocalDate, Enc.Days)       => d.toEpochDay
     case (x, e) => throw new IllegalArgumentException(s"cannot encode $x (${x.getClass}) as $e")

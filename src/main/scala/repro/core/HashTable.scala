@@ -148,8 +148,6 @@ final class HashTable(val slots: Int, expectedEntries: Int, bucketHint: Int = -1
     heap(e * stride).toInt - 1
   }
 
-  def entryHash(e: Int): Long = heap(e * stride + 1)
-
   def getSlot(e: Int, i: Int, p: Prof): Long = {
     if (p ne null) p.load(heapAddr + 8L * (e * stride + 2 + i))
     heap(e * stride + 2 + i)

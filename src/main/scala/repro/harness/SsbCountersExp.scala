@@ -1,7 +1,7 @@
 package repro.harness
 
 import org.apache.spark.sql.SparkSession
-import repro.core.{HwProfile, Prof}
+import repro.core.Prof
 import repro.ssb.{SsbSchema, SsbTw, SsbTyper}
 
 /** §4.4's (unnumbered) counter table — SSB Q1.1/Q2.1/Q3.1/Q4.1, 1 thread,
@@ -15,27 +15,9 @@ object SsbCountersExp {
 
   def counters(spark: SparkSession, sf: Double = 0.1): Seq[(String, String, Prof.Counters)] = {
     val d = SsbSchema.load(spark, sf)
-    val hw = HwProfile.skylake.withLlcBytes(math.max(64L * 16 * 64, (14L << 20) * sf).toLong)
-    val tw = SsbTw.all()
-    for {
-      q <- queries
-      (engine, fn) <- Seq("Typer" -> SsbTyper.all(q), "TW" -> tw(q))
-    } yield {
-      val p = new Prof(hw)
-      fn(d, 1, p)
-      (q, engine, p.perTuple(d.tuplesScanned(q)))
-    }
+    Table1Exp.modeled(sf, queries, SsbTyper.all, SsbTw.all(), d, d.tuplesScanned)
   }
 
-  def run(spark: SparkSession, sf: Double = 0.1): String = {
-    import AsciiTable._
-    val rows = counters(spark, sf).map { case (q, e, c) =>
-      Seq(s"$q $e", f0(c.cycles), f1(c.ipc), f0(c.instr), f1(c.l1Miss),
-          f2(c.llcMiss), f2(c.branchMiss), f1(c.memStall))
-    }
-    AsciiTable.format(
-      s"SSB counters (modeled, paper 4.4), SSB-lite SF=$sf, 1 thread, per tuple",
-      Seq("query", "cycles", "IPC", "instr", "L1miss", "LLCmiss", "brMiss", "memStall"),
-      rows)
-  }
+  def run(spark: SparkSession, sf: Double = 0.1): String =
+    Table1Exp.render(s"SSB counters (modeled, paper 4.4), SSB-lite SF=$sf, 1 thread, per tuple", counters(spark, sf))
 }

@@ -10,32 +10,43 @@ import repro.queries.{Engines, TpchSchema}
   * reports cycles, IPC, instructions, L1/LLC misses, and branch misses per
   * tuple scanned. The simulated LLC is scaled with the scale factor
   * (14 MB × sf, since the paper ran SF=1 on a 14 MB LLC) so working-set :
-  * cache ratios match the paper's — see DESIGN.md.
+  * cache ratios match the paper's — see DESIGN.md. §4.4's SSB table
+  * ([[SsbCountersExp]]) is the same experiment over SSB-lite.
   */
 object Table1Exp {
 
   def counters(spark: SparkSession, sf: Double = 0.1): Seq[(String, String, Prof.Counters)] = {
     val d = TpchSchema.load(spark, sf)
+    modeled(sf, Engines.queryNames, Engines.typer, Engines.tw(), d, d.tuplesScanned)
+  }
+
+  def run(spark: SparkSession, sf: Double = 0.1): String =
+    render(s"Table 1: CPU counters (modeled), TPC-H-lite SF=$sf, 1 thread, per tuple", counters(spark, sf))
+
+  /** Each query on Typer then TW, 1 thread, under a fresh [[Prof]] with a
+    * 14 MB × sf LLC; counters per tuple scanned.
+    */
+  private[harness] def modeled[D](sf: Double, queries: Seq[String],
+                                  typer: String => (D, Int, Prof) => Any, tw: String => (D, Int, Prof) => Any,
+                                  d: D, tuples: String => Long): Seq[(String, String, Prof.Counters)] = {
     val hw = HwProfile.skylake.withLlcBytes(math.max(64L * 16 * 64, (14L << 20) * sf).toLong)
-    val tw = Engines.tw()
     for {
-      q <- Engines.queryNames
-      (engine, fn) <- Seq("Typer" -> Engines.typer(q), "TW" -> tw(q))
+      q <- queries
+      (engine, fn) <- Seq("Typer" -> typer(q), "TW" -> tw(q))
     } yield {
       val p = new Prof(hw)
       fn(d, 1, p)
-      (q, engine, p.perTuple(d.tuplesScanned(q)))
+      (q, engine, p.perTuple(tuples(q)))
     }
   }
 
-  def run(spark: SparkSession, sf: Double = 0.1): String = {
+  private[harness] def render(title: String, counters: Seq[(String, String, Prof.Counters)]): String = {
     import AsciiTable._
-    val rows = counters(spark, sf).map { case (q, e, c) =>
+    val rows = counters.map { case (q, e, c) =>
       Seq(s"$q $e", f0(c.cycles), f1(c.ipc), f0(c.instr), f1(c.l1Miss),
           f2(c.llcMiss), f2(c.branchMiss), f1(c.memStall))
     }
-    AsciiTable.format(
-      s"Table 1: CPU counters (modeled), TPC-H-lite SF=$sf, 1 thread, per tuple",
+    AsciiTable.format(title,
       Seq("query", "cycles", "IPC", "instr", "L1miss", "LLCmiss", "brMiss", "memStall"),
       rows)
   }

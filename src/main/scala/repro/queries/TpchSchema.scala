@@ -22,7 +22,6 @@ final case class TpchData(
     supplier: ColTable, nation: ColTable, partsupp: ColTable, part: ColTable,
     dfs: Map[String, DataFrame]) {
 
-  def df(name: String): DataFrame = dfs(name)
   def tablesFor(names: String*): Seq[(String, DataFrame)] = names.map(n => n -> dfs(n))
 
   /** Spark SQL `text` over these tables. Registers them as the session's

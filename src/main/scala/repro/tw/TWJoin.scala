@@ -136,14 +136,9 @@ final class TWProbe(ht: HashTable, keySlots: Int, vecSize: Int) {
   /** buildGather: out[i] ← slot `s` of matched entry i (build payloads). */
   def gatherBuild(s: Int, out: Vec, p: Prof): Unit = {
     var i = 0
-    if (p ne null) p.enterLoop(4)
-    while (i < matchSel.n) {
-      if (p ne null) p.load(matchEntry.addr + 4L * i)
-      out.a(i) = ht.getSlot(matchEntry.a(i), s, p)
-      if (p ne null) p.store(out.addr + 8L * i)
-      i += 1
-    }
-    if (p ne null) { p.loop(matchSel.n); p.exitLoop() }
+    while (i < matchSel.n) { out.a(i) = ht.getSlot(matchEntry.a(i), s, null); i += 1 }
+    if (p ne null) // entry e's slot s lies at slotAddr(0, s) + 8·stride·e
+      Prim.costGather(matchEntry.a, matchEntry.addr, matchSel.n, ht.slotAddr(0, s), 8L * ht.stride, out.addr, 8L, p)
   }
 
   /** out[i] ← probeVec[matchSel[i]] — realign a dense probe-side vector to
@@ -151,13 +146,7 @@ final class TWProbe(ht: HashTable, keySlots: Int, vecSize: Int) {
     */
   def gatherProbe(in: Vec, out: Vec, p: Prof): Unit = {
     var i = 0
-    if (p ne null) p.enterLoop(4)
-    while (i < matchSel.n) {
-      if (p ne null) { p.load(matchSel.addr + 4L * i); p.load(in.addr + 8L * matchSel.a(i)) }
-      out.a(i) = in.a(matchSel.a(i))
-      if (p ne null) p.store(out.addr + 8L * i)
-      i += 1
-    }
-    if (p ne null) { p.loop(matchSel.n); p.exitLoop() }
+    while (i < matchSel.n) { out.a(i) = in.a(matchSel.a(i)); i += 1 }
+    if (p ne null) Prim.costGather(matchSel.a, matchSel.addr, matchSel.n, in.addr, 8L, out.addr, 8L, p)
   }
 }

@@ -46,4 +46,12 @@ class OracleSpec extends SparkSpec {
       "SELECT cast(k as bigint) % 3 AS g, count(*) AS c FROM t GROUP BY cast(k as bigint) % 3",
       "t" -> t)
   }
+
+  test("NULL input values reach DuckDB as NULL") {
+    val withNulls = t.select(col("k"), when(col("k") % 10 =!= 0, col("v")) as "v")
+    Oracle.assertEquivalent(withNulls.agg(count(col("v")) as "c", sum(col("v")) as "s"),
+      "SELECT count(v) AS c, sum(cast(v as bigint)) AS s FROM t", "t" -> withNulls)
+    Oracle.assertEquivalent(withNulls.filter(col("k") <= 20), "SELECT k, v FROM t WHERE cast(k as bigint) <= 20",
+      "t" -> withNulls)
+  }
 }

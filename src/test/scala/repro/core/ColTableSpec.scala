@@ -11,29 +11,22 @@ class ColTableSpec extends SparkSpec {
     import spark.implicits._
     spark.range(1, 101).select(
       $"id" as "k",
-      round(($"id" % 50) * 1.01, 2) as "price",
       date_add(lit("2000-01-01").cast(DateType), $"id".cast("int")) as "d",
       element_at(array(lit("x"), lit("y"), lit("z")), ($"id" % 3 + 1).cast("int")) as "s")
   }
 
   private lazy val t = Columnar.fromDF(df, "t",
-    "k" -> Enc.Id, "price" -> Enc.Cents, "d" -> Enc.Days, "s" -> Enc.Dict)
+    "k" -> Enc.Id, "d" -> Enc.Days, "s" -> Enc.Dict)
 
   test("row count and column registry") {
     assert(t.numRows == 100)
-    assert(t.columnNames == Seq("d", "k", "price", "s"))
+    assert(t.columnNames == Seq("d", "k", "s"))
     intercept[NoSuchElementException] { t("nope") }
   }
 
   test("Id encoding preserves longs") {
     assert(t("k").data.toSeq == (1L to 100L))
-  }
-
-  test("Cents encoding scales doubles exactly (half-up at the cent)") {
-    // price of id=1 is round(1*1.01, 2) = 1.01 → 101 cents
-    assert(t("price").data(0) == 101L)
-    // id=50 → (50%50)*1.01 = 0.0 → 0 cents
-    assert(t("price").data(49) == 0L)
+    assert(t("k").decodeValue(7) == 7L) // *_c fixed-point cents columns decode as is
   }
 
   test("Days encoding round-trips ISO dates through decode") {
@@ -60,10 +53,5 @@ class ColTableSpec extends SparkSpec {
     assert(Columnar.day("1970-01-01") == 0)
     assert(Columnar.day("1970-01-02") == 1)
     assert(Columnar.day("1992-01-01") == 8035)
-  }
-
-  test("decodeValue on Cents/Id returns the raw long (fixed-point semantics)") {
-    assert(t("price").decodeValue(101) == 101L)
-    assert(t("k").decodeValue(7) == 7L)
   }
 }
