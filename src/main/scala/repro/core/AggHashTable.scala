@@ -24,7 +24,6 @@ final class AggHashTable(val keySlots: Int, val valSlots: Int, initialCapacity: 
   private var bucketAddr = Addr.alloc(8L * numBuckets)
 
   private val idxMask = 0xFFFFFFFFFFFFL
-  private def tagOf(h: Long): Long = 1L << (48 + ((h >>> 59) & 15).toInt)
 
   private var lastNew = false
 
@@ -37,7 +36,7 @@ final class AggHashTable(val keySlots: Int, val valSlots: Int, initialCapacity: 
     val b = (hash & mask).toInt
     val word = buckets(b)
     if (p ne null) { p.load(bucketAddr + 8L * b); p.ops(3) }
-    if ((word & tagOf(hash)) == 0) return -1
+    if ((word & Hash.tag(hash)) == 0) return -1
     var e = (word & idxMask).toInt - 1
     while (e >= 0) {
       val base = e * stride
@@ -68,7 +67,7 @@ final class AggHashTable(val keySlots: Int, val valSlots: Int, initialCapacity: 
     val b = (hash & mask).toInt
     val old = buckets(b)
     heap(base) = old & idxMask
-    buckets(b) = (old & ~idxMask) | tagOf(hash) | (e + 1).toLong
+    buckets(b) = (old & ~idxMask) | Hash.tag(hash) | (e + 1).toLong
     if (p ne null) {
       p.store(heapAddr + 8L * base); p.store(bucketAddr + 8L * b)
       var j = 0
@@ -122,7 +121,7 @@ final class AggHashTable(val keySlots: Int, val valSlots: Int, initialCapacity: 
       val b = (h & mask).toInt
       val old = buckets(b)
       heap(base) = old & idxMask
-      buckets(b) = (old & ~idxMask) | tagOf(h) | (e + 1).toLong
+      buckets(b) = (old & ~idxMask) | Hash.tag(h) | (e + 1).toLong
       e += 1
     }
   }

@@ -44,6 +44,11 @@ object Hash {
     */
   def crc2(k0: Long, k1: Long): Long = crc(k0 + k1 * 0x9E3779B97F4A7C15L)
   val crc2Cost = 5
+
+  /** The bucket-word tag bit of hash `h` (one of bits 48–63, chosen by the
+    * hash's top four bits), shared by [[HashTable]] and [[AggHashTable]].
+    */
+  def tag(h: Long): Long = 1L << (48 + ((h >>> 59) & 15).toInt)
 }
 
 /** The chaining join hash table shared by Typer and Tectorwise (§3.2).
@@ -96,8 +101,6 @@ final class HashTable(val slots: Int, expectedEntries: Int, bucketHint: Int = -1
 
   private val idxMask = 0xFFFFFFFFFFFFL
 
-  private val tagOf: Long => Long = h => 1L << (48 + ((h >>> 59) & 15).toInt)
-
   /** Upper bound on reserved entries (includes unused chunk tails). */
   def size: Int = counter.get
 
@@ -123,7 +126,7 @@ final class HashTable(val slots: Int, expectedEntries: Int, bucketHint: Int = -1
     val base = e * stride
     heap(base + 1) = hash
     val b = (hash & mask).toInt
-    val tag = tagOf(hash)
+    val tag = Hash.tag(hash)
     var done = false
     while (!done) {
       val old = buckets.get(b)
@@ -139,7 +142,7 @@ final class HashTable(val slots: Int, expectedEntries: Int, bucketHint: Int = -1
     val b = (hash & mask).toInt
     val word = buckets.get(b)
     if (p ne null) { p.load(bucketAddr + 8L * b); p.ops(3) }
-    if ((word & tagOf(hash)) == 0) -1 else (word & idxMask).toInt - 1
+    if ((word & Hash.tag(hash)) == 0) -1 else (word & idxMask).toInt - 1
   }
 
   /** Next entry in the chain after `e`, or -1. */

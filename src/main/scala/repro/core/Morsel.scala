@@ -6,10 +6,11 @@ import java.util.concurrent.atomic.{AtomicLong, AtomicReference}
 /** Morsel-driven parallelism (§6.1), as implemented in both engines.
   *
   * A query runs as a set of workers that pull fixed-size morsels (row ranges)
-  * from atomic [[Morsel.Dispenser]]s, share per-operator state (e.g. the
-  * build-side [[HashTable]]), and synchronize at pipeline boundaries with a
-  * barrier — "first all workers consume the build side ... only after that,
-  * the probe phase can start".
+  * from atomic [[Morsel.Dispenser]]s through its scan drivers (`morsels`,
+  * `batches`), share per-operator state (e.g. the build-side [[HashTable]]),
+  * and synchronize at pipeline boundaries with a barrier — "first all
+  * workers consume the build side ... only after that, the probe phase can
+  * start". Each query starts its own `threads` workers ([[Morsel.run]]).
   */
 object Morsel {
 
@@ -47,6 +48,32 @@ object Morsel {
       val t = ioThrottle
       if ((t ne null) && rowBytes > 0) t.consume((r.end - r.start) * rowBytes)
       r
+    }
+
+    /** The scan driver of every pipeline: calls `f(start, end)` once per
+      * morsel this worker takes, until the dispenser is exhausted. Each
+      * pipeline body is thereby a method called per morsel, the shape of
+      * HyPer's generated code, which HotSpot compiles as a whole method
+      * rather than by on-stack replacement of a long-running loop.
+      */
+    def morsels(f: (Int, Int) => Unit): Unit = {
+      var m = next()
+      while (m != null) { f(m.startI, m.endI); m = next() }
+    }
+
+    /** [[morsels]] cut into vectors: calls `f(base, n)` once per batch of
+      * `n <= vecSize` rows; no batch crosses a morsel boundary.
+      */
+    def batches(vecSize: Int)(f: (Int, Int) => Unit): Unit = {
+      require(vecSize >= 1, s"vecSize=$vecSize")
+      morsels { (start, end) =>
+        var base = start
+        while (base < end) {
+          val n = math.min(vecSize, end - base)
+          f(base, n)
+          base += n
+        }
+      }
     }
   }
 

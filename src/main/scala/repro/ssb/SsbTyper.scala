@@ -23,10 +23,9 @@ object SsbTyper {
                        payload: Array[LongCol], filterCol: LongCol, lo: Long, hi: Long,
                        site: Int, p: Prof): Unit = {
     if (p ne null) p.enterLoop(22 + 2 * payload.length)
-    var m = disp.next()
-    while (m != null) {
-      var i = m.startI
-      while (i < m.endI) {
+    disp.morsels { (start, end) =>
+      var i = start
+      while (i < end) {
         var keep = true
         if (filterCol ne null) {
           if (p ne null) p.load(filterCol.addr + 8L * i)
@@ -49,7 +48,6 @@ object SsbTyper {
         }
         i += 1
       }
-      m = disp.next()
     }
     if (p ne null) { p.loop(key.size); p.exitLoop() }
   }
@@ -60,12 +58,11 @@ object SsbTyper {
     Morsel.run(threads) { ctx =>
       buildDim(htD, dispD, dd("d_datekey"), Array.empty, dd("d_year"), 1993, 1993, sYear, p)
       ctx.barrier()
-      var sum = 0L; var hits = 0L
       if (p ne null) p.enterLoop(40)
-      var m = dispL.next()
-      while (m != null) {
-        var i = m.startI
-        while (i < m.endI) {
+      dispL.morsels { (start, end) =>
+        var sum = 0L; var hits = 0L
+        var i = start
+        while (i < end) {
           if (p ne null) p.load(loDisc.addr + 8L * i)
           val dc = loDisc.data(i)
           val c1 = dc >= 1
@@ -92,11 +89,9 @@ object SsbTyper {
           }
           i += 1
         }
-        m = dispL.next()
+        total.add(sum); matched.addAndGet(hits)
       }
       if (p ne null) { p.loop(lo.numRows); p.exitLoop() }
-      total.add(sum); matched.addAndGet(hits)
-      ()
     }
     result
   }
@@ -114,10 +109,9 @@ object SsbTyper {
       val agg = shared.local(ctx.workerId)
       val keyRow = new Array[Long](2)
       if (p ne null) p.enterLoop(90)
-      var m = dispL.next()
-      while (m != null) {
-        var i = m.startI
-        while (i < m.endI) {
+      dispL.morsels { (start, end) =>
+        var i = start
+        while (i < end) {
           val pk = loPart.data(i)
           if (p ne null) { p.load(loPart.addr + 8L * i); p.ops(Hash.crcCost) }
           val eP = TyperOps.probe1(htP, Hash.crc(pk), pk, p)
@@ -143,7 +137,6 @@ object SsbTyper {
           }
           i += 1
         }
-        m = dispL.next()
       }
       if (p ne null) { p.loop(lo.numRows); p.exitLoop() }
       finish(ctx, p)
@@ -162,10 +155,9 @@ object SsbTyper {
       val agg = shared.local(ctx.workerId)
       val keyRow = new Array[Long](3)
       if (p ne null) p.enterLoop(95)
-      var m = dispL.next()
-      while (m != null) {
-        var i = m.startI
-        while (i < m.endI) {
+      dispL.morsels { (start, end) =>
+        var i = start
+        while (i < end) {
           val ck = loCust.data(i)
           if (p ne null) { p.load(loCust.addr + 8L * i); p.ops(Hash.crcCost) }
           val eC = TyperOps.probe1(htC, Hash.crc(ck), ck, p)
@@ -193,7 +185,6 @@ object SsbTyper {
           }
           i += 1
         }
-        m = dispL.next()
       }
       if (p ne null) { p.loop(lo.numRows); p.exitLoop() }
       finish(ctx, p)
@@ -207,38 +198,33 @@ object SsbTyper {
     Morsel.run(threads) { ctx =>
       buildDim(htD, dispD, dd("d_datekey"), Array(dd("d_year")), null, 0, 0, 0, p)
       // part: mfgr IN (m1, m2) — fused loop with a two-way equality
-      locally {
-        val key = pt("p_partkey"); val mf = pt("p_mfgr")
-        if (p ne null) p.enterLoop(24)
-        var m = dispP.next()
-        while (m != null) {
-          var i = m.startI
-          while (i < m.endI) {
-            if (p ne null) p.load(mf.addr + 8L * i)
-            val v = mf.data(i)
-            val keep = v == mfgr1 || v == mfgr2
-            if (p ne null) { p.ops(1); p.branch(sMfgr, keep) }
-            if (keep) {
-              val k = key.data(i)
-              if (p ne null) { p.load(key.addr + 8L * i); p.ops(Hash.crcCost) }
-              val e = htP.reserve(p); htP.setSlot(e, 0, k, p); htP.publish(e, Hash.crc(k), p)
-            }
-            i += 1
+      val key = pt("p_partkey"); val mf = pt("p_mfgr")
+      if (p ne null) p.enterLoop(24)
+      dispP.morsels { (start, end) =>
+        var i = start
+        while (i < end) {
+          if (p ne null) p.load(mf.addr + 8L * i)
+          val v = mf.data(i)
+          val keep = v == mfgr1 || v == mfgr2
+          if (p ne null) { p.ops(1); p.branch(sMfgr, keep) }
+          if (keep) {
+            val k = key.data(i)
+            if (p ne null) { p.load(key.addr + 8L * i); p.ops(Hash.crcCost) }
+            val e = htP.reserve(p); htP.setSlot(e, 0, k, p); htP.publish(e, Hash.crc(k), p)
           }
-          m = dispP.next()
+          i += 1
         }
-        if (p ne null) { p.loop(pt.numRows); p.exitLoop() }
       }
+      if (p ne null) { p.loop(pt.numRows); p.exitLoop() }
       buildDim(htS, dispS, su("s_suppkey"), Array.empty, su("s_region"), sAm, sAm, sReg, p)
       buildDim(htC, dispC, cu("c_custkey"), Array(cu("c_nation")), cu("c_region"), cAm, cAm, sReg, p)
       ctx.barrier()
       val agg = shared.local(ctx.workerId)
       val keyRow = new Array[Long](2)
       if (p ne null) p.enterLoop(110)
-      var m = dispL.next()
-      while (m != null) {
-        var i = m.startI
-        while (i < m.endI) {
+      dispL.morsels { (start, end) =>
+        var i = start
+        while (i < end) {
           val ck = loCust.data(i)
           if (p ne null) { p.load(loCust.addr + 8L * i); p.ops(Hash.crcCost) }
           val eC = TyperOps.probe1(htC, Hash.crc(ck), ck, p)
@@ -272,7 +258,6 @@ object SsbTyper {
           }
           i += 1
         }
-        m = dispL.next()
       }
       if (p ne null) { p.loop(lo.numRows); p.exitLoop() }
       finish(ctx, p)

@@ -25,35 +25,28 @@ object TwQ1 {
       val t1 = new Vec(vecSize); val t2 = new Vec(vecSize)
       val discPriceV = new Vec(vecSize); val chargeV = new Vec(vecSize)
 
-      var m = disp.next()
-      while (m != null) {
-        var base = m.startI
-        while (base < m.endI) {
-          val n = math.min(vecSize, m.endI - base)
-          val k = Prim.selLeC(sd, base, n, cutoff, sel, p)
-          if (k > 0) {
-            Prim.gather(rf, base, sel, rfV, p)
-            Prim.gather(ls, base, sel, lsV, p)
-            Prim.gather(qty, base, sel, qtyV, p)
-            Prim.gather(ep, base, sel, epV, p)
-            Prim.gather(disc, base, sel, discV, p)
-            Prim.gather(tax, base, sel, taxV, p)
-            Prim.hashMurmur(rfV, k, hV, p)
-            Prim.hashCombine(hV, lsV, k, p)
-            agg.findGroups(hV, Array(rfV, lsV), k, p)
-            Prim.mapRsubC(discV, 100L, k, t1, p)        // 100 - disc
-            Prim.mapMul(epV, t1, k, discPriceV, p)      // ep * (100 - disc)
-            Prim.mapAddC(taxV, 100L, k, t2, p)          // 100 + tax
-            Prim.mapMul(discPriceV, t2, k, chargeV, p)  // charge
-            agg.sumInto(0, qtyV, k, p)
-            agg.sumInto(1, epV, k, p)
-            agg.sumInto(2, discPriceV, k, p)
-            agg.sumInto(3, chargeV, k, p)
-            agg.countInto(4, k, p)
-          }
-          base += n
+      disp.batches(vecSize) { (base, n) =>
+        val k = Prim.selLeC(sd, base, n, cutoff, sel, p)
+        if (k > 0) {
+          Prim.gather(rf, base, sel, rfV, p)
+          Prim.gather(ls, base, sel, lsV, p)
+          Prim.gather(qty, base, sel, qtyV, p)
+          Prim.gather(ep, base, sel, epV, p)
+          Prim.gather(disc, base, sel, discV, p)
+          Prim.gather(tax, base, sel, taxV, p)
+          Prim.hashMurmur(rfV, k, hV, p)
+          Prim.hashCombine(hV, lsV, k, p)
+          agg.findGroups(hV, Array(rfV, lsV), k, p)
+          Prim.mapRsubC(discV, 100L, k, t1, p)        // 100 - disc
+          Prim.mapMul(epV, t1, k, discPriceV, p)      // ep * (100 - disc)
+          Prim.mapAddC(taxV, 100L, k, t2, p)          // 100 + tax
+          Prim.mapMul(discPriceV, t2, k, chargeV, p)  // charge
+          agg.sumInto(0, qtyV, k, p)
+          agg.sumInto(1, epV, k, p)
+          agg.sumInto(2, discPriceV, k, p)
+          agg.sumInto(3, chargeV, k, p)
+          agg.countInto(4, k, p)
         }
-        m = disp.next()
       }
       finish(ctx, p)
     }

@@ -17,19 +17,12 @@ object TwQ18 {
       val kV = new Vec(vecSize); val qV = new Vec(vecSize); val hV = new Vec(vecSize)
       // 1. lineitem → per-worker aggregation by orderkey
       val agg = new TWAgg(shared.local(ctx.workerId), vecSize)
-      var m = dispL.next()
-      while (m != null) {
-        var base = m.startI
-        while (base < m.endI) {
-          val n = math.min(vecSize, m.endI - base)
-          Prim.gatherDense(lOrd, base, n, kV, p)
-          Prim.gatherDense(lQty, base, n, qV, p)
-          Prim.hashMurmur(kV, n, hV, p)
-          agg.findGroups(hV, Array(kV), n, p)
-          agg.sumInto(0, qV, n, p)
-          base += n
-        }
-        m = dispL.next()
+      dispL.batches(vecSize) { (base, n) =>
+        Prim.gatherDense(lOrd, base, n, kV, p)
+        Prim.gatherDense(lQty, base, n, qV, p)
+        Prim.hashMurmur(kV, n, hV, p)
+        agg.findGroups(hV, Array(kV), n, p)
+        agg.sumInto(0, qV, n, p)
       }
       ctx.barrier()
       // 2. merge; HAVING-filter survivors into the qualifying-orders HT
@@ -54,17 +47,10 @@ object TwQ18 {
       }
       if (p ne null) p.exitLoop()
       // 3. customer → HT_c
-      m = dispC.next()
-      while (m != null) {
-        var base = m.startI
-        while (base < m.endI) {
-          val n = math.min(vecSize, m.endI - base)
-          Prim.gatherDense(cKey, base, n, kV, p)
-          Prim.hashMurmur(kV, n, hV, p)
-          TWJoin.buildInsert(htC, hV, Array(kV), n, p)
-          base += n
-        }
-        m = dispC.next()
+      dispC.batches(vecSize) { (base, n) =>
+        Prim.gatherDense(cKey, base, n, kV, p)
+        Prim.hashMurmur(kV, n, hV, p)
+        TWJoin.buildInsert(htC, hV, Array(kV), n, p)
       }
       ctx.barrier()
       // 4. orders probes
@@ -74,38 +60,31 @@ object TwQ18 {
       val ocV = new Vec(vecSize); val selA = new Sel(vecSize); val selB = new Sel(vecSize)
       val mokV = new Vec(vecSize); val sumV2 = new Vec(vecSize)
       val odV = new Vec(vecSize); val otV = new Vec(vecSize); val mocV = new Vec(vecSize)
-      m = dispO.next()
-      while (m != null) {
-        var base = m.startI
-        while (base < m.endI) {
-          val n = math.min(vecSize, m.endI - base)
-          Prim.gatherDense(oKey, base, n, okV, p)
-          Prim.hashMurmur(okV, n, hV, p)
-          val m1 = probeQ.probe(hV, Array(okV), n, p)
-          if (m1 > 0) {
-            probeQ.gatherBuild(1, sumV, p)
-            selA.n = m1
-            System.arraycopy(probeQ.matchSel.a, 0, selA.a, 0, m1)
-            Prim.gather(oCust, base, selA, ocV, p)
-            Prim.hashMurmur(ocV, m1, hV, p)
-            val m2 = probeC.probe(hV, Array(ocV), m1, p)
-            if (m2 > 0) {
-              probeC.gatherProbe(sumV, sumV2, p)
-              probeC.gatherProbe(ocV, mocV, p)
-              Prim.composeSel(selA, probeC.matchSel, selB, p)
-              Prim.gather(oKey, base, selB, mokV, p)
-              Prim.gather(oDate, base, selB, odV, p)
-              Prim.gather(oTotal, base, selB, otV, p)
-              var i = 0
-              while (i < m2) {
-                out.add(row(mocV.a(i), mokV.a(i), odV.a(i), otV.a(i), sumV2.a(i)))
-                i += 1
-              }
+      dispO.batches(vecSize) { (base, n) =>
+        Prim.gatherDense(oKey, base, n, okV, p)
+        Prim.hashMurmur(okV, n, hV, p)
+        val m1 = probeQ.probe(hV, Array(okV), n, p)
+        if (m1 > 0) {
+          probeQ.gatherBuild(1, sumV, p)
+          selA.n = m1
+          System.arraycopy(probeQ.matchSel.a, 0, selA.a, 0, m1)
+          Prim.gather(oCust, base, selA, ocV, p)
+          Prim.hashMurmur(ocV, m1, hV, p)
+          val m2 = probeC.probe(hV, Array(ocV), m1, p)
+          if (m2 > 0) {
+            probeC.gatherProbe(sumV, sumV2, p)
+            probeC.gatherProbe(ocV, mocV, p)
+            Prim.composeSel(selA, probeC.matchSel, selB, p)
+            Prim.gather(oKey, base, selB, mokV, p)
+            Prim.gather(oDate, base, selB, odV, p)
+            Prim.gather(oTotal, base, selB, otV, p)
+            var i = 0
+            while (i < m2) {
+              out.add(row(mocV.a(i), mokV.a(i), odV.a(i), otV.a(i), sumV2.a(i)))
+              i += 1
             }
           }
-          base += n
         }
-        m = dispO.next()
       }
     }
     result

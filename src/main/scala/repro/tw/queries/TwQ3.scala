@@ -18,20 +18,13 @@ object TwQ3 {
       val kV = new Vec(vecSize); val hV = new Vec(vecSize)
 
       // Pipeline 1: customer → HT_c
-      var m = dispC.next()
-      while (m != null) {
-        var base = m.startI
-        while (base < m.endI) {
-          val n = math.min(vecSize, m.endI - base)
-          val k = Prim.selEqC(cSeg, base, n, segCode, sel, p)
-          if (k > 0) {
-            Prim.gather(cKey, base, sel, kV, p)
-            Prim.hashMurmur(kV, k, hV, p)
-            TWJoin.buildInsert(htC, hV, Array(kV), k, p)
-          }
-          base += n
+      dispC.batches(vecSize) { (base, n) =>
+        val k = Prim.selEqC(cSeg, base, n, segCode, sel, p)
+        if (k > 0) {
+          Prim.gather(cKey, base, sel, kV, p)
+          Prim.hashMurmur(kV, k, hV, p)
+          TWJoin.buildInsert(htC, hV, Array(kV), k, p)
         }
-        m = dispC.next()
       }
       ctx.barrier()
 
@@ -41,30 +34,23 @@ object TwQ3 {
       val odV = new Vec(vecSize); val opV = new Vec(vecSize)
       val mokV = new Vec(vecSize); val modV = new Vec(vecSize); val mopV = new Vec(vecSize)
       val h2V = new Vec(vecSize)
-      m = dispO.next()
-      while (m != null) {
-        var base = m.startI
-        while (base < m.endI) {
-          val n = math.min(vecSize, m.endI - base)
-          val k = Prim.selLtC(oDate, base, n, cutoff, sel, p)
-          if (k > 0) {
-            Prim.gather(oCust, base, sel, ocV, p)
-            Prim.gather(oKey, base, sel, okV, p)
-            Prim.gather(oDate, base, sel, odV, p)
-            Prim.gather(oPrio, base, sel, opV, p)
-            Prim.hashMurmur(ocV, k, hV, p)
-            val nm = probeC.probe(hV, Array(ocV), k, p)
-            if (nm > 0) {
-              probeC.gatherProbe(okV, mokV, p)
-              probeC.gatherProbe(odV, modV, p)
-              probeC.gatherProbe(opV, mopV, p)
-              Prim.hashMurmur(mokV, nm, h2V, p)
-              TWJoin.buildInsert(htO, h2V, Array(mokV, modV, mopV), nm, p)
-            }
+      dispO.batches(vecSize) { (base, n) =>
+        val k = Prim.selLtC(oDate, base, n, cutoff, sel, p)
+        if (k > 0) {
+          Prim.gather(oCust, base, sel, ocV, p)
+          Prim.gather(oKey, base, sel, okV, p)
+          Prim.gather(oDate, base, sel, odV, p)
+          Prim.gather(oPrio, base, sel, opV, p)
+          Prim.hashMurmur(ocV, k, hV, p)
+          val nm = probeC.probe(hV, Array(ocV), k, p)
+          if (nm > 0) {
+            probeC.gatherProbe(okV, mokV, p)
+            probeC.gatherProbe(odV, modV, p)
+            probeC.gatherProbe(opV, mopV, p)
+            Prim.hashMurmur(mokV, nm, h2V, p)
+            TWJoin.buildInsert(htO, h2V, Array(mokV, modV, mopV), nm, p)
           }
-          base += n
         }
-        m = dispO.next()
       }
       ctx.barrier()
 
@@ -75,36 +61,29 @@ object TwQ3 {
       val mlkV = new Vec(vecSize); val mepV = new Vec(vecSize); val mdiscV = new Vec(vecSize)
       val bdateV = new Vec(vecSize); val bprioV = new Vec(vecSize)
       val t1 = new Vec(vecSize); val revV = new Vec(vecSize); val hgV = new Vec(vecSize)
-      m = dispL.next()
-      while (m != null) {
-        var base = m.startI
-        while (base < m.endI) {
-          val n = math.min(vecSize, m.endI - base)
-          val k = Prim.selGtC(lDate, base, n, cutoff, sel, p)
-          if (k > 0) {
-            Prim.gather(lKey, base, sel, lkV, p)
-            Prim.gather(lEp, base, sel, epV, p)
-            Prim.gather(lDisc, base, sel, discV, p)
-            Prim.hashMurmur(lkV, k, hV, p)
-            val nm = probeO.probe(hV, Array(lkV), k, p)
-            if (nm > 0) {
-              probeO.gatherProbe(lkV, mlkV, p)
-              probeO.gatherProbe(epV, mepV, p)
-              probeO.gatherProbe(discV, mdiscV, p)
-              probeO.gatherBuild(1, bdateV, p)
-              probeO.gatherBuild(2, bprioV, p)
-              Prim.hashMurmur(mlkV, nm, hgV, p)
-              Prim.hashCombine(hgV, bdateV, nm, p)
-              Prim.hashCombine(hgV, bprioV, nm, p)
-              agg.findGroups(hgV, Array(mlkV, bdateV, bprioV), nm, p)
-              Prim.mapRsubC(mdiscV, 100L, nm, t1, p)
-              Prim.mapMul(mepV, t1, nm, revV, p)
-              agg.sumInto(0, revV, nm, p)
-            }
+      dispL.batches(vecSize) { (base, n) =>
+        val k = Prim.selGtC(lDate, base, n, cutoff, sel, p)
+        if (k > 0) {
+          Prim.gather(lKey, base, sel, lkV, p)
+          Prim.gather(lEp, base, sel, epV, p)
+          Prim.gather(lDisc, base, sel, discV, p)
+          Prim.hashMurmur(lkV, k, hV, p)
+          val nm = probeO.probe(hV, Array(lkV), k, p)
+          if (nm > 0) {
+            probeO.gatherProbe(lkV, mlkV, p)
+            probeO.gatherProbe(epV, mepV, p)
+            probeO.gatherProbe(discV, mdiscV, p)
+            probeO.gatherBuild(1, bdateV, p)
+            probeO.gatherBuild(2, bprioV, p)
+            Prim.hashMurmur(mlkV, nm, hgV, p)
+            Prim.hashCombine(hgV, bdateV, nm, p)
+            Prim.hashCombine(hgV, bprioV, nm, p)
+            agg.findGroups(hgV, Array(mlkV, bdateV, bprioV), nm, p)
+            Prim.mapRsubC(mdiscV, 100L, nm, t1, p)
+            Prim.mapMul(mepV, t1, nm, revV, p)
+            agg.sumInto(0, revV, nm, p)
           }
-          base += n
         }
-        m = dispL.next()
       }
       finish(ctx, p)
     }

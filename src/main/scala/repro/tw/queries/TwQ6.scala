@@ -20,26 +20,19 @@ object TwQ6 {
       val epV = new Vec(vecSize); val discV = new Vec(vecSize); val revV = new Vec(vecSize)
       var sum = 0L; var hits = 0L
 
-      var m = disp.next()
-      while (m != null) {
-        var base = m.startI
-        while (base < m.endI) {
-          val n = math.min(vecSize, m.endI - base)
-          var k = Prim.selGeC(sd, base, n, dateLo, s1, p)
-          if (k > 0) k = Prim.selLtCSel(sd, base, s1, dateHi, s2, p)
-          if (k > 0) k = Prim.selGeCSel(disc, base, s2, discLo, s3, p)
-          if (k > 0) k = Prim.selLeCSel(disc, base, s3, discHi, s4, p)
-          if (k > 0) k = Prim.selLtCSel(qty, base, s4, qtyMax, s5, p)
-          if (k > 0) {
-            Prim.gather(ep, base, s5, epV, p)
-            Prim.gather(disc, base, s5, discV, p)
-            Prim.mapMul(epV, discV, k, revV, p)
-            sum += Prim.sum(revV, k, p)
-            hits += k
-          }
-          base += n
+      disp.batches(vecSize) { (base, n) =>
+        var k = Prim.selGeC(sd, base, n, dateLo, s1, p)
+        if (k > 0) k = Prim.selLtCSel(sd, base, s1, dateHi, s2, p)
+        if (k > 0) k = Prim.selGeCSel(disc, base, s2, discLo, s3, p)
+        if (k > 0) k = Prim.selLeCSel(disc, base, s3, discHi, s4, p)
+        if (k > 0) k = Prim.selLtCSel(qty, base, s4, qtyMax, s5, p)
+        if (k > 0) {
+          Prim.gather(ep, base, s5, epV, p)
+          Prim.gather(disc, base, s5, discV, p)
+          Prim.mapMul(epV, discV, k, revV, p)
+          sum += Prim.sum(revV, k, p)
+          hits += k
         }
-        m = disp.next()
       }
       total.add(sum)
       matched.addAndGet(hits)

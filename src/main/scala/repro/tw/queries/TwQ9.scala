@@ -20,79 +20,44 @@ object TwQ9 {
       val hV = new Vec(vecSize)
 
       // build: part (color filter)
-      var m = dispP.next()
-      while (m != null) {
-        var base = m.startI
-        while (base < m.endI) {
-          val n = math.min(vecSize, m.endI - base)
-          val k = Prim.selEqC(pColor, base, n, colorCode, sel, p)
-          if (k > 0) {
-            Prim.gather(pKey, base, sel, v1, p)
-            Prim.hashMurmur(v1, k, hV, p)
-            TWJoin.buildInsert(htP, hV, Array(v1), k, p)
-          }
-          base += n
+      dispP.batches(vecSize) { (base, n) =>
+        val k = Prim.selEqC(pColor, base, n, colorCode, sel, p)
+        if (k > 0) {
+          Prim.gather(pKey, base, sel, v1, p)
+          Prim.hashMurmur(v1, k, hV, p)
+          TWJoin.buildInsert(htP, hV, Array(v1), k, p)
         }
-        m = dispP.next()
       }
       // build: supplier
-      m = dispS.next()
-      while (m != null) {
-        var base = m.startI
-        while (base < m.endI) {
-          val n = math.min(vecSize, m.endI - base)
-          Prim.gatherDense(sKey, base, n, v1, p)
-          Prim.gatherDense(sNat, base, n, v2, p)
-          Prim.hashMurmur(v1, n, hV, p)
-          TWJoin.buildInsert(htS, hV, Array(v1, v2), n, p)
-          base += n
-        }
-        m = dispS.next()
+      dispS.batches(vecSize) { (base, n) =>
+        Prim.gatherDense(sKey, base, n, v1, p)
+        Prim.gatherDense(sNat, base, n, v2, p)
+        Prim.hashMurmur(v1, n, hV, p)
+        TWJoin.buildInsert(htS, hV, Array(v1, v2), n, p)
       }
       // build: partsupp (composite key — one hash primitive per column)
-      m = dispPs.next()
-      while (m != null) {
-        var base = m.startI
-        while (base < m.endI) {
-          val n = math.min(vecSize, m.endI - base)
-          Prim.gatherDense(psP, base, n, v1, p)
-          Prim.gatherDense(psS, base, n, v2, p)
-          Prim.gatherDense(psC, base, n, v3, p)
-          Prim.hashMurmur(v1, n, hV, p)
-          Prim.hashCombine(hV, v2, n, p)
-          TWJoin.buildInsert(htPs, hV, Array(v1, v2, v3), n, p)
-          base += n
-        }
-        m = dispPs.next()
+      dispPs.batches(vecSize) { (base, n) =>
+        Prim.gatherDense(psP, base, n, v1, p)
+        Prim.gatherDense(psS, base, n, v2, p)
+        Prim.gatherDense(psC, base, n, v3, p)
+        Prim.hashMurmur(v1, n, hV, p)
+        Prim.hashCombine(hV, v2, n, p)
+        TWJoin.buildInsert(htPs, hV, Array(v1, v2, v3), n, p)
       }
       // build: orders (payload year via map primitive)
-      m = dispO.next()
-      while (m != null) {
-        var base = m.startI
-        while (base < m.endI) {
-          val n = math.min(vecSize, m.endI - base)
-          Prim.gatherDense(oKey, base, n, v1, p)
-          Prim.gatherDense(oDate, base, n, v2, p)
-          Prim.mapYear(v2, n, v3, p)
-          Prim.hashMurmur(v1, n, hV, p)
-          TWJoin.buildInsert(htO, hV, Array(v1, v3), n, p)
-          base += n
-        }
-        m = dispO.next()
+      dispO.batches(vecSize) { (base, n) =>
+        Prim.gatherDense(oKey, base, n, v1, p)
+        Prim.gatherDense(oDate, base, n, v2, p)
+        Prim.mapYear(v2, n, v3, p)
+        Prim.hashMurmur(v1, n, hV, p)
+        TWJoin.buildInsert(htO, hV, Array(v1, v3), n, p)
       }
       // build: nation
-      m = dispN.next()
-      while (m != null) {
-        var base = m.startI
-        while (base < m.endI) {
-          val n = math.min(vecSize, m.endI - base)
-          Prim.gatherDense(nKey, base, n, v1, p)
-          Prim.gatherDense(nName, base, n, v2, p)
-          Prim.hashMurmur(v1, n, hV, p)
-          TWJoin.buildInsert(htN, hV, Array(v1, v2), n, p)
-          base += n
-        }
-        m = dispN.next()
+      dispN.batches(vecSize) { (base, n) =>
+        Prim.gatherDense(nKey, base, n, v1, p)
+        Prim.gatherDense(nName, base, n, v2, p)
+        Prim.hashMurmur(v1, n, hV, p)
+        TWJoin.buildInsert(htN, hV, Array(v1, v2), n, p)
       }
       ctx.barrier()
 
@@ -116,72 +81,65 @@ object TwQ9 {
       val t1 = new Vec(vecSize); val revV = new Vec(vecSize)
       val costAmtV = new Vec(vecSize); val amtV = new Vec(vecSize); val hgV = new Vec(vecSize)
 
-      m = dispL.next()
-      while (m != null) {
-        var base = m.startI
-        while (base < m.endI) {
-          val n = math.min(vecSize, m.endI - base)
-          // 1. ⋈ part — dense probe; matchSel positions are batch positions
-          Prim.gatherDense(lPart, base, n, pkV, p)
-          Prim.hashMurmur(pkV, n, hV, p)
-          val m1 = probeP.probe(hV, Array(pkV), n, p)
-          if (m1 > 0) {
-            selA.n = probeP.matchSel.n
-            System.arraycopy(probeP.matchSel.a, 0, selA.a, 0, m1)
-            // 2. ⋈ supplier
-            Prim.gather(lSupp, base, selA, skV, p)
-            Prim.hashMurmur(skV, m1, hV, p)
-            val m2 = probeS.probe(hV, Array(skV), m1, p)
-            if (m2 > 0) {
-              probeS.gatherBuild(1, natV, p)
-              Prim.composeSel(selA, probeS.matchSel, selB, p)
-              // 3. ⋈ partsupp (composite)
-              Prim.gather(lPart, base, selB, pk2V, p)
-              Prim.gather(lSupp, base, selB, sk2V, p)
-              Prim.hashMurmur(pk2V, m2, hV, p)
-              Prim.hashCombine(hV, sk2V, m2, p)
-              val m3 = probePs.probe(hV, Array(pk2V, sk2V), m2, p)
-              if (m3 > 0) {
-                probePs.gatherBuild(2, costV, p)
-                probePs.gatherProbe(natV, natV2, p)
-                Prim.composeSel(selB, probePs.matchSel, selC, p)
-                // 4. ⋈ orders
-                Prim.gather(lOrd, base, selC, okV, p)
-                Prim.hashMurmur(okV, m3, hV, p)
-                val m4 = probeO.probe(hV, Array(okV), m3, p)
-                if (m4 > 0) {
-                  probeO.gatherBuild(1, yearV, p)
-                  probeO.gatherProbe(natV2, natV3, p)
-                  probeO.gatherProbe(costV, costV2, p)
-                  Prim.composeSel(selC, probeO.matchSel, selD, p)
-                  // 5. ⋈ nation
-                  Prim.hashMurmur(natV3, m4, hV, p)
-                  val m5 = probeN.probe(hV, Array(natV3), m4, p)
-                  if (m5 > 0) {
-                    probeN.gatherBuild(1, nameV, p)
-                    probeN.gatherProbe(yearV, yearV2, p)
-                    probeN.gatherProbe(costV2, costV3, p)
-                    Prim.composeSel(selD, probeN.matchSel, selE, p)
-                    // arithmetic + group-by
-                    Prim.gather(lEp, base, selE, epV, p)
-                    Prim.gather(lDisc, base, selE, discV, p)
-                    Prim.gather(lQty, base, selE, qtyV, p)
-                    Prim.mapRsubC(discV, 100L, m5, t1, p)
-                    Prim.mapMul(epV, t1, m5, revV, p)
-                    Prim.mapMul(costV3, qtyV, m5, costAmtV, p)
-                    Prim.mapSub(revV, costAmtV, m5, amtV, p)
-                    Prim.hashMurmur(nameV, m5, hgV, p)
-                    Prim.hashCombine(hgV, yearV2, m5, p)
-                    agg.findGroups(hgV, Array(nameV, yearV2), m5, p)
-                    agg.sumInto(0, amtV, m5, p)
-                  }
+      dispL.batches(vecSize) { (base, n) =>
+        // 1. ⋈ part — dense probe; matchSel positions are batch positions
+        Prim.gatherDense(lPart, base, n, pkV, p)
+        Prim.hashMurmur(pkV, n, hV, p)
+        val m1 = probeP.probe(hV, Array(pkV), n, p)
+        if (m1 > 0) {
+          selA.n = probeP.matchSel.n
+          System.arraycopy(probeP.matchSel.a, 0, selA.a, 0, m1)
+          // 2. ⋈ supplier
+          Prim.gather(lSupp, base, selA, skV, p)
+          Prim.hashMurmur(skV, m1, hV, p)
+          val m2 = probeS.probe(hV, Array(skV), m1, p)
+          if (m2 > 0) {
+            probeS.gatherBuild(1, natV, p)
+            Prim.composeSel(selA, probeS.matchSel, selB, p)
+            // 3. ⋈ partsupp (composite)
+            Prim.gather(lPart, base, selB, pk2V, p)
+            Prim.gather(lSupp, base, selB, sk2V, p)
+            Prim.hashMurmur(pk2V, m2, hV, p)
+            Prim.hashCombine(hV, sk2V, m2, p)
+            val m3 = probePs.probe(hV, Array(pk2V, sk2V), m2, p)
+            if (m3 > 0) {
+              probePs.gatherBuild(2, costV, p)
+              probePs.gatherProbe(natV, natV2, p)
+              Prim.composeSel(selB, probePs.matchSel, selC, p)
+              // 4. ⋈ orders
+              Prim.gather(lOrd, base, selC, okV, p)
+              Prim.hashMurmur(okV, m3, hV, p)
+              val m4 = probeO.probe(hV, Array(okV), m3, p)
+              if (m4 > 0) {
+                probeO.gatherBuild(1, yearV, p)
+                probeO.gatherProbe(natV2, natV3, p)
+                probeO.gatherProbe(costV, costV2, p)
+                Prim.composeSel(selC, probeO.matchSel, selD, p)
+                // 5. ⋈ nation
+                Prim.hashMurmur(natV3, m4, hV, p)
+                val m5 = probeN.probe(hV, Array(natV3), m4, p)
+                if (m5 > 0) {
+                  probeN.gatherBuild(1, nameV, p)
+                  probeN.gatherProbe(yearV, yearV2, p)
+                  probeN.gatherProbe(costV2, costV3, p)
+                  Prim.composeSel(selD, probeN.matchSel, selE, p)
+                  // arithmetic + group-by
+                  Prim.gather(lEp, base, selE, epV, p)
+                  Prim.gather(lDisc, base, selE, discV, p)
+                  Prim.gather(lQty, base, selE, qtyV, p)
+                  Prim.mapRsubC(discV, 100L, m5, t1, p)
+                  Prim.mapMul(epV, t1, m5, revV, p)
+                  Prim.mapMul(costV3, qtyV, m5, costAmtV, p)
+                  Prim.mapSub(revV, costAmtV, m5, amtV, p)
+                  Prim.hashMurmur(nameV, m5, hgV, p)
+                  Prim.hashCombine(hgV, yearV2, m5, p)
+                  agg.findGroups(hgV, Array(nameV, yearV2), m5, p)
+                  agg.sumInto(0, amtV, m5, p)
                 }
               }
             }
           }
-          base += n
         }
-        m = dispL.next()
       }
       finish(ctx, p)
     }

@@ -17,10 +17,9 @@ object TyperQ1 {
       val agg = shared.local(ctx.workerId)
       val keyRow = new Array[Long](2)
       if (p ne null) p.enterLoop(48) // scan+filter+hash+agg fused body
-      var m = disp.next()
-      while (m != null) {
-        var i = m.startI
-        while (i < m.endI) {
+      disp.morsels { (start, end) =>
+        var i = start
+        while (i < end) {
           if (p ne null) p.load(sd.addr + 8L * i)
           val keep = sd.data(i) <= cutoff
           if (p ne null) p.branch(sDate, keep)
@@ -45,7 +44,6 @@ object TyperQ1 {
           }
           i += 1
         }
-        m = disp.next()
       }
       if (p ne null) { p.loop(li.numRows); p.exitLoop() }
       finish(ctx, p)

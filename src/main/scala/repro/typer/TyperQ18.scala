@@ -23,10 +23,9 @@ object TyperQ18 {
       val agg = shared.local(ctx.workerId)
       val keyRow = new Array[Long](1)
       if (p ne null) p.enterLoop(40)
-      var m = dispL.next()
-      while (m != null) {
-        var i = m.startI
-        while (i < m.endI) {
+      dispL.morsels { (start, end) =>
+        var i = start
+        while (i < end) {
           val k = lOrd.data(i)
           keyRow(0) = k
           if (p ne null) { p.load(lOrd.addr + 8L * i); p.load(lQty.addr + 8L * i); p.ops(Hash.crcCost) }
@@ -34,7 +33,6 @@ object TyperQ18 {
           agg.addToValue(g, 0, lQty.data(i), p)
           i += 1
         }
-        m = dispL.next()
       }
       if (p ne null) { p.loop(li.numRows); p.exitLoop() }
       ctx.barrier()
@@ -57,25 +55,22 @@ object TyperQ18 {
       if (p ne null) { p.loop(fin.size); p.exitLoop() }
       // 3. customer → HT_c
       if (p ne null) p.enterLoop(18)
-      m = dispC.next()
-      while (m != null) {
-        var i = m.startI
-        while (i < m.endI) {
+      dispC.morsels { (start, end) =>
+        var i = start
+        while (i < end) {
           val k = cKey.data(i)
           if (p ne null) { p.load(cKey.addr + 8L * i); p.ops(Hash.crcCost) }
           val ne = htC.reserve(p); htC.setSlot(ne, 0, k, p); htC.publish(ne, Hash.crc(k), p)
           i += 1
         }
-        m = dispC.next()
       }
       if (p ne null) { p.loop(cu.numRows); p.exitLoop() }
       ctx.barrier()
       // 4. orders probe both HTs, emit
       if (p ne null) p.enterLoop(55)
-      m = dispO.next()
-      while (m != null) {
-        var i = m.startI
-        while (i < m.endI) {
+      dispO.morsels { (start, end) =>
+        var i = start
+        while (i < end) {
           val ok = oKey.data(i)
           if (p ne null) { p.load(oKey.addr + 8L * i); p.ops(Hash.crcCost) }
           val eQ = TyperOps.probe1(htQual, Hash.crc(ok), ok, p)
@@ -92,7 +87,6 @@ object TyperQ18 {
           }
           i += 1
         }
-        m = dispO.next()
       }
       if (p ne null) { p.loop(or.numRows); p.exitLoop() }
     }

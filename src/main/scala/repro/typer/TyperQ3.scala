@@ -21,10 +21,9 @@ object TyperQ3 {
     Morsel.run(threads) { ctx =>
       // Pipeline 1: customer → HT_c
       if (p ne null) p.enterLoop(24)
-      var m = dispC.next()
-      while (m != null) {
-        var i = m.startI
-        while (i < m.endI) {
+      dispC.morsels { (start, end) =>
+        var i = start
+        while (i < end) {
           if (p ne null) p.load(cSeg.addr + 8L * i)
           val keep = cSeg.data(i) == segCode
           if (p ne null) p.branch(sSeg, keep)
@@ -37,17 +36,15 @@ object TyperQ3 {
           }
           i += 1
         }
-        m = dispC.next()
       }
       if (p ne null) { p.loop(cu.numRows); p.exitLoop() }
       ctx.barrier()
 
       // Pipeline 2: orders ⋈ HT_c → HT_o
       if (p ne null) p.enterLoop(40)
-      m = dispO.next()
-      while (m != null) {
-        var i = m.startI
-        while (i < m.endI) {
+      dispO.morsels { (start, end) =>
+        var i = start
+        while (i < end) {
           if (p ne null) p.load(oDate.addr + 8L * i)
           val keep = oDate.data(i) < cutoff
           if (p ne null) p.branch(sODate, keep)
@@ -71,7 +68,6 @@ object TyperQ3 {
           }
           i += 1
         }
-        m = dispO.next()
       }
       if (p ne null) { p.loop(or.numRows); p.exitLoop() }
       ctx.barrier()
@@ -80,10 +76,9 @@ object TyperQ3 {
       val agg = shared.local(ctx.workerId)
       val keyRow = new Array[Long](3)
       if (p ne null) p.enterLoop(64)
-      m = dispL.next()
-      while (m != null) {
-        var i = m.startI
-        while (i < m.endI) {
+      dispL.morsels { (start, end) =>
+        var i = start
+        while (i < end) {
           if (p ne null) p.load(lDate.addr + 8L * i)
           val keep = lDate.data(i) > cutoff
           if (p ne null) p.branch(sLDate, keep)
@@ -107,7 +102,6 @@ object TyperQ3 {
           }
           i += 1
         }
-        m = dispL.next()
       }
       if (p ne null) { p.loop(li.numRows); p.exitLoop() }
       finish(ctx, p)

@@ -14,14 +14,13 @@ object TyperQ6 {
   def run(d: TpchData, threads: Int, p: Prof): QueryOut = {
     val pl = new Q6Plan(d); import pl._
 
-    Morsel.run(threads) { ctx =>
-      var sum = 0L
-      var hits = 0L
+    Morsel.run(threads) { _ =>
       if (p ne null) p.enterLoop(16)
-      var m = disp.next()
-      while (m != null) {
-        var i = m.startI
-        while (i < m.endI) {
+      disp.morsels { (start, end) =>
+        var sum = 0L
+        var hits = 0L
+        var i = start
+        while (i < end) {
           val s = sd.data(i)
           val dc = disc.data(i)
           val q = qty.data(i)
@@ -38,12 +37,10 @@ object TyperQ6 {
           hits += mask
           i += 1
         }
-        m = disp.next()
+        total.add(sum)
+        matched.addAndGet(hits)
       }
       if (p ne null) { p.loop(li.numRows); p.exitLoop() }
-      total.add(sum)
-      matched.addAndGet(hits)
-      ()
     }
     result
   }

@@ -19,10 +19,9 @@ object TyperQ9 {
     Morsel.run(threads) { ctx =>
       // part (filtered)
       if (p ne null) p.enterLoop(22)
-      var m = dispP.next()
-      while (m != null) {
-        var i = m.startI
-        while (i < m.endI) {
+      dispP.morsels { (start, end) =>
+        var i = start
+        while (i < end) {
           if (p ne null) p.load(pColor.addr + 8L * i)
           val keep = pColor.data(i) == colorCode
           if (p ne null) p.branch(sColor, keep)
@@ -33,15 +32,13 @@ object TyperQ9 {
           }
           i += 1
         }
-        m = dispP.next()
       }
       if (p ne null) { p.loop(pt.numRows); p.exitLoop() }
       // supplier
       if (p ne null) p.enterLoop(20)
-      m = dispS.next()
-      while (m != null) {
-        var i = m.startI
-        while (i < m.endI) {
+      dispS.morsels { (start, end) =>
+        var i = start
+        while (i < end) {
           val k = sKey.data(i)
           if (p ne null) { p.load(sKey.addr + 8L * i); p.load(sNat.addr + 8L * i); p.ops(Hash.crcCost) }
           val e = htS.reserve(p)
@@ -49,15 +46,13 @@ object TyperQ9 {
           htS.publish(e, Hash.crc(k), p)
           i += 1
         }
-        m = dispS.next()
       }
       if (p ne null) { p.loop(su.numRows); p.exitLoop() }
       // partsupp (composite key)
       if (p ne null) p.enterLoop(24)
-      m = dispPs.next()
-      while (m != null) {
-        var i = m.startI
-        while (i < m.endI) {
+      dispPs.morsels { (start, end) =>
+        var i = start
+        while (i < end) {
           val k0 = psP.data(i); val k1 = psS.data(i)
           if (p ne null) {
             p.load(psP.addr + 8L * i); p.load(psS.addr + 8L * i)
@@ -69,15 +64,13 @@ object TyperQ9 {
           htPs.publish(e, Hash.crc2(k0, k1), p)
           i += 1
         }
-        m = dispPs.next()
       }
       if (p ne null) { p.loop(ps.numRows); p.exitLoop() }
       // orders (payload: year)
       if (p ne null) p.enterLoop(26)
-      m = dispO.next()
-      while (m != null) {
-        var i = m.startI
-        while (i < m.endI) {
+      dispO.morsels { (start, end) =>
+        var i = start
+        while (i < end) {
           val k = oKey.data(i)
           if (p ne null) { p.load(oKey.addr + 8L * i); p.load(oDate.addr + 8L * i); p.ops(Hash.crcCost + 5) }
           val e = htO.reserve(p)
@@ -86,15 +79,13 @@ object TyperQ9 {
           htO.publish(e, Hash.crc(k), p)
           i += 1
         }
-        m = dispO.next()
       }
       if (p ne null) { p.loop(or.numRows); p.exitLoop() }
       // nation
       if (p ne null) p.enterLoop(20)
-      m = dispN.next()
-      while (m != null) {
-        var i = m.startI
-        while (i < m.endI) {
+      dispN.morsels { (start, end) =>
+        var i = start
+        while (i < end) {
           val k = nKey.data(i)
           if (p ne null) { p.load(nKey.addr + 8L * i); p.load(nName.addr + 8L * i); p.ops(Hash.crcCost) }
           val e = htN.reserve(p)
@@ -102,7 +93,6 @@ object TyperQ9 {
           htN.publish(e, Hash.crc(k), p)
           i += 1
         }
-        m = dispN.next()
       }
       if (p ne null) { p.loop(na.numRows); p.exitLoop() }
       ctx.barrier()
@@ -111,10 +101,9 @@ object TyperQ9 {
       val agg = shared.local(ctx.workerId)
       val keyRow = new Array[Long](2)
       if (p ne null) p.enterLoop(130)
-      m = dispL.next()
-      while (m != null) {
-        var i = m.startI
-        while (i < m.endI) {
+      dispL.morsels { (start, end) =>
+        var i = start
+        while (i < end) {
           val pk = lPart.data(i)
           if (p ne null) { p.load(lPart.addr + 8L * i); p.ops(Hash.crcCost) }
           val eP = TyperOps.probe1(htP, Hash.crc(pk), pk, p)
@@ -157,7 +146,6 @@ object TyperQ9 {
           }
           i += 1
         }
-        m = dispL.next()
       }
       if (p ne null) { p.loop(li.numRows); p.exitLoop() }
       finish(ctx, p)

@@ -14,10 +14,8 @@ class SharedAggSpec extends AnyFunSuite {
     Morsel.run(w) { ctx =>
       val local = shared.local(ctx.workerId)
       val keyRow = new Array[Long](1)
-      var m = disp.next()
-      while (m != null) {
-        var i = m.startI
-        while (i < m.endI) {
+      disp.morsels { (start, end) =>
+        for (i <- start until end) {
           val (k, v) = data(i)
           keyRow(0) = k
           val e = local.findOrInsert(Hash.murmur(k), keyRow, 0, null)
@@ -25,9 +23,7 @@ class SharedAggSpec extends AnyFunSuite {
           local.addToValue(e, 0, v, null)
           local.addToValue(e, 1, 1, null)
           local.maxValue(e, 2, v, null)
-          i += 1
         }
-        m = disp.next()
       }
       ctx.barrier()
       shared.mergePartition(ctx.workerId, null)
@@ -55,16 +51,12 @@ class SharedAggSpec extends AnyFunSuite {
     Morsel.run(4) { ctx =>
       val local = shared.local(ctx.workerId)
       val keyRow = new Array[Long](1)
-      var m = disp.next()
-      while (m != null) {
-        var i = m.startI
-        while (i < m.endI) {
+      disp.morsels { (start, end) =>
+        for (i <- start until end) {
           keyRow(0) = data(i)._1
           val e = local.findOrInsert(Hash.murmur(keyRow(0)), keyRow, 0, null)
           local.addToValue(e, 0, 1, null)
-          i += 1
         }
-        m = disp.next()
       }
       ctx.barrier()
       shared.mergePartition(ctx.workerId, null)

@@ -48,6 +48,11 @@ class TpchQueriesSpec extends SparkSpec {
       assert(Engines.tw(4096)(q)(d, 1, null).canon == ref)
     }
 
+    test(s"$q: Tectorwise result is vector-size invariant (1, 7, 65536)") {
+      val ref = tw(q)(d, 1, null).canon
+      for (v <- Seq(1, 7, 65536)) assert(Engines.tw(v)(q)(d, 1, null).canon == ref, s"vector size $v")
+    }
+
     test(s"$q: counter-model (Prof) run leaves results unchanged, counts > 0") {
       val ref = Engines.typer(q)(d, 1, null).canon
       val pT = new Prof(HwProfile.skylake)

@@ -39,6 +39,11 @@ class SsbQueriesSpec extends SparkSpec {
       }
     }
 
+    test(s"ssb $q: Tectorwise result is vector-size invariant (1, 7, 64, 4096, 65536)") {
+      val ref = tw(q)(d, 1, null).canon
+      for (v <- Seq(1, 7, 64, 4096, 65536)) assert(SsbTw.all(v)(q)(d, 1, null).canon == ref, s"vector size $v")
+    }
+
     test(s"ssb $q: counter-model run leaves results unchanged") {
       val ref = SsbTyper.all(q)(d, 1, null).canon
       val pT = new Prof(HwProfile.skylake)
